@@ -2,58 +2,38 @@
 multiplicities summed over a hook.
 
 Character values come from recursive border-strip removal (beta-number
-form), memoized in a cache that can be persisted to a key-value file.
+form), memoized in process.  A hook multiplicity is one inner product of
+class functions: m_lam(h) = (1/n!) sum_rho chi^lam(rho) w_h(rho), with the
+weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2 computed
+once per (n, h) (Macdonald, Symmetric Functions and Hall Polynomials, I.7).
 """
 
 from __future__ import annotations
 
-import json
+from functools import lru_cache
 from math import factorial
-from typing import Optional
 
+from .laurent import InexactError
 from .partitions import (Hook, Partition, add_box_successors, as_hook,
-                         enumerate_partitions, format_partition,
-                         parse_partition, partitions_of)
+                         enumerate_partitions, partitions_of)
 
 
-class KroneckerCache:
-    """Memo for character values and Kronecker coefficients.
+class _Memo:
+    """In-process memo of character values and Kronecker coefficients.
 
-    Not safe for concurrent mutation; confine one instance to one worker.
-    Persistable as a JSON object with keys 'chi|lam|rho' and
-    'kron|lam|mu|nu' (canonical comma partition forms, decimal values).
+    Not safe for concurrent mutation; each worker process has its own.
     """
 
     def __init__(self):
         self.chi: dict[tuple, int] = {}
         self.kron: dict[tuple, int] = {}
 
-    def load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        for key, value in data.items():
-            kind, *parts = key.split("|")
-            parts = tuple(parse_partition(p) for p in parts)
-            if kind == "chi":
-                self.chi[parts] = int(value)
-            elif kind == "kron":
-                self.kron[parts] = int(value)
 
-    def save(self, path: str) -> None:
-        data = {}
-        for (lam, rho), v in self.chi.items():
-            data[f"chi|{format_partition(lam)}|{format_partition(rho)}"] = v
-        for (lam, mu, nu), v in self.kron.items():
-            data[f"kron|{format_partition(lam)}|{format_partition(mu)}|{format_partition(nu)}"] = v
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=0, sort_keys=True)
+_MEMO = _Memo()
 
 
-_DEFAULT_CACHE = KroneckerCache()
-
-
-def default_cache() -> KroneckerCache:
-    return _DEFAULT_CACHE
+def default_cache() -> _Memo:
+    return _MEMO
 
 
 def _beta_set(lam: Partition) -> tuple:
@@ -67,20 +47,18 @@ def _partition_from_beta(beta: tuple) -> Partition:
     return tuple(p for p in reversed(lam) if p > 0)
 
 
-def mn_character(lam: Partition, rho: Partition,
-                 cache: Optional[KroneckerCache] = None) -> int:
+def mn_character(lam: Partition, rho: Partition) -> int:
     """chi^lam evaluated at the class of cycle type rho, exactly."""
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
-    cache = cache or _DEFAULT_CACHE
-    return _mn(tuple(lam), tuple(rho), cache)
+    return _mn(tuple(lam), tuple(rho))
 
 
-def _mn(lam: Partition, rho: Partition, cache: KroneckerCache) -> int:
+def _mn(lam: Partition, rho: Partition) -> int:
     if not rho:
         return 1
     key = (lam, rho)
-    hit = cache.chi.get(key)
+    hit = _MEMO.chi.get(key)
     if hit is not None:
         return hit
     r = rho[0]
@@ -94,8 +72,8 @@ def _mn(lam: Partition, rho: Partition, cache: KroneckerCache) -> int:
             continue
         jumped = sum(1 for x in beta if target < x < b)
         new_beta = tuple(target if x == b else x for x in beta)
-        total += (-1) ** jumped * _mn(_partition_from_beta(new_beta), rest, cache)
-    cache.chi[key] = total
+        total += (-1) ** jumped * _mn(_partition_from_beta(new_beta), rest)
+    _MEMO.chi[key] = total
     return total
 
 
@@ -109,49 +87,63 @@ def class_size(rho: Partition) -> int:
     return factorial(n) // denom
 
 
-def kronecker(lam: Partition, mu: Partition, nu: Partition,
-              cache: Optional[KroneckerCache] = None) -> int:
+def _divide_by_group_order(total: int, n: int, what: str) -> int:
+    q, r = divmod(total, factorial(n))
+    if r:
+        raise InexactError(f"class sum for {what} not divisible by {n}!")
+    return q
+
+
+def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient: multiplicity of chi^lam in chi^mu (x) chi^nu."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("partitions must have equal size")
-    cache = cache or _DEFAULT_CACHE
     key = (lam, mu, nu)
-    hit = cache.kron.get(key)
+    hit = _MEMO.kron.get(key)
     if hit is not None:
         return hit
     total = 0
     for rho in partitions_of(n):
-        total += (class_size(rho)
-                  * _mn(lam, rho, cache) * _mn(mu, rho, cache) * _mn(nu, rho, cache))
-    g, r = divmod(total, factorial(n))
-    assert r == 0, "class-sum for Kronecker coefficient did not divide exactly"
-    cache.kron[key] = g
+        total += class_size(rho) * _mn(lam, rho) * _mn(mu, rho) * _mn(nu, rho)
+    g = _divide_by_group_order(total, n, "a Kronecker coefficient")
+    _MEMO.kron[key] = g
     return g
 
 
-def m_lambda(lam: Partition, h, cache: Optional[KroneckerCache] = None) -> int:
+@lru_cache(maxsize=None)
+def _hook_weights(n: int, h: Hook) -> tuple:
+    """Pairs (rho, w_h(rho)) over the classes of S_n with a nonzero weight."""
+    hook = enumerate_partitions(n, in_hook=h)
+    pairs = []
+    for rho in partitions_of(n):
+        w = sum(_mn(mu, rho) ** 2 for mu in hook)
+        if w:
+            pairs.append((rho, class_size(rho) * w))
+    return tuple(pairs)
+
+
+def m_lambda(lam: Partition, h) -> int:
     """Sum of gamma^lam_{mu,mu} over mu of the same size in the hook."""
     h = as_hook(h)
+    lam = tuple(lam)
     n = sum(lam)
     if n == 0:
         return 1
-    total = 0
-    for mu in enumerate_partitions(n, in_hook=h):
-        total += kronecker(lam, mu, mu, cache)
-    return total
+    total = sum(_mn(lam, rho) * w for rho, w in _hook_weights(n, h))
+    return _divide_by_group_order(total, n, "a hook multiplicity")
 
 
-def m_bar_lambda(lam: Partition, h, cache: Optional[KroneckerCache] = None) -> int:
+def m_bar_lambda(lam: Partition, h) -> int:
     """Multiplicity after restricting the hook tensor sum down one S_n level.
 
     Realized through the branching rule: sum of m over all one-box
     extensions of lam.
     """
-    return sum(m_lambda(lp, h, cache) for lp in add_box_successors(lam))
+    return sum(m_lambda(lp, h) for lp in add_box_successors(lam))
 
 
-def dimension(lam: Partition, cache: Optional[KroneckerCache] = None) -> int:
+def dimension(lam: Partition) -> int:
     """Degree of chi^lam (number of standard tableaux)."""
     n = sum(lam)
-    return mn_character(lam, (1,) * n, cache) if n else 1
+    return mn_character(lam, (1,) * n) if n else 1

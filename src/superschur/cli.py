@@ -4,43 +4,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
-from .characters import default_cache, m_bar_lambda, m_lambda
+from .characters import m_bar_lambda, m_lambda
 from .partitions import Hook, parse_partition
 from .poincare import (budzik_suite, check_derivative_relation, m_bar_prime_char,
                        m_prime_char, p_series, univariate_coefficients)
 from .qseries import check_limit_identity, closed_form_series, gf_partitions
 from .residue import m_bar_prime_residue, m_prime_residue
-
-
-@dataclass
-class RunConfig:
-    """Parsed CLI invocation; values satisfy operation preconditions
-    before dispatch."""
-
-    subcommand: str
-    lam: tuple = ()
-    hook: Optional[Hook] = None
-    hooks: list = field(default_factory=list)
-    n: int = 1
-    m: int = 0
-    degree: int = 10
-    mode: str = "prime"
-    route: str = "residue"
-    bar: bool = False
-    fmt: str = "text"
-    jobs: int = 1
-    max_size: int = 4
-    max_kl: int = 3
-    dump_poly: bool = False
-    verify_what: str = ""
-    cache_path: Optional[str] = None
 
 
 def _parse_hook(text: str) -> Hook:
@@ -59,13 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superschur",
         description="Exact hook-Schur multiplicities, Poincare series, and "
                     "verification suites.")
-    parser.add_argument("--cache", default=None,
-                        help="key-value cache file (overrides SUPERSCHUR_CACHE)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
-                       default="text")
+    def add_common(p, formats=("text", "json", "csv")):
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
 
     p = sub.add_parser("mlambda", help="tensor-sum multiplicity of a character")
     p.add_argument("--lambda", dest="lam", required=True, type=parse_partition)
@@ -100,18 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--max-kl", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
-    add_common(p)
+    add_common(p, formats=("text", "json"))
 
     return parser
 
 
 def _emit_value(value: int, fmt: str, out) -> None:
-    if fmt == "json":
-        print(json.dumps(value), file=out)
-    elif fmt == "csv":
-        print(value, file=out)
-    else:
-        print(value, file=out)
+    print(json.dumps(value) if fmt == "json" else value, file=out)
 
 
 def _run_mlambda(args, out) -> int:
@@ -232,9 +196,6 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cache_path = args.cache or os.environ.get("SUPERSCHUR_CACHE")
-    if cache_path and os.path.exists(cache_path):
-        default_cache().load(cache_path)
     try:
         if args.subcommand == "mlambda":
             code = _run_mlambda(args, out)
@@ -247,8 +208,6 @@ def main(argv=None, out=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_path:
-        default_cache().save(cache_path)
     return code
 
 

@@ -101,7 +101,7 @@ _HS_CACHE: dict = {}
 
 def _hom_from_power_sums(table: VarTable, psums: list[LaurentPoly],
                          upto: int) -> list[LaurentPoly]:
-    """h_0..h_upto from p_1..p_upto; divisions by r asserted exact."""
+    """h_0..h_upto from p_1..p_upto; divisions by r checked exact."""
     hs = [LaurentPoly.const(table, 1)]
     for r in range(1, upto + 1):
         acc = LaurentPoly.zero(table)
@@ -376,8 +376,3 @@ def hook_schur_factorized(lam: Partition, h, X: Alphabet, Y: Alphabet) -> Lauren
         for j in range(h.l):
             result = result * (X.entry(i) + Y.entry(j))
     return result
-
-
-def clear_caches() -> None:
-    _HOM_CACHE.clear()
-    _HS_CACHE.clear()

@@ -10,6 +10,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 
+class InexactError(ArithmeticError):
+    """An exact division left a remainder: a bug in the expansion, not bad
+    input.  Raised explicitly so that `python -O` cannot skip the check."""
+
+
 class VarTable:
     """Ordered list of distinct variable names, fixed for its lifetime."""
 
@@ -231,7 +236,8 @@ class LaurentPoly:
         out = {}
         for e, c in self.terms.items():
             q, r = divmod(c, d)
-            assert r == 0, f"coefficient {c} not divisible by {d}"
+            if r:
+                raise InexactError(f"coefficient {c} not divisible by {d}")
             out[e] = q
         return LaurentPoly(self.table, out)
 
@@ -270,7 +276,7 @@ class LaurentPoly:
 
 
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact division f/g of Laurent polynomials; AssertionError if inexact.
+    """Exact division f/g of Laurent polynomials; InexactError if inexact.
 
     Lex leading-term elimination.  Termination guard: every quotient
     exponent must lie in the window forced by the degree ranges of f and g.
@@ -293,9 +299,9 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         fkey = max(rem)
         qkey = tuple(a - b for a, b in zip(fkey, gkey))
         ok = all(fmin[i] - gmax[i] <= qkey[i] <= fmax[i] - gmin[i] for i in range(n))
-        assert ok, "polynomial division is not exact"
         qc, r = divmod(rem[fkey], gcoef)
-        assert r == 0, "polynomial division is not exact"
+        if not ok or r:
+            raise InexactError("polynomial division is not exact")
         quo[qkey] = qc
         for e, c in g.terms.items():
             key = tuple(a + b for a, b in zip(qkey, e))

@@ -7,9 +7,8 @@ the invariant and concomitant series.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
 
-from .characters import KroneckerCache, m_bar_lambda, m_lambda
+from .characters import m_bar_lambda, m_lambda
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
@@ -19,22 +18,22 @@ MODES = ("plain", "prime", "bar", "bar_prime")
 ROUTES = ("residue", "char")
 
 
-def m_prime_char(lam: Partition, h, cache: Optional[KroneckerCache] = None) -> int:
+def m_prime_char(lam: Partition, h) -> int:
     """Character route for the jump: m(k,l) - m(k-1,l-1); the subtrahend is
     0 when no smaller hook exists."""
     h = as_hook(h)
-    base = m_lambda(lam, h, cache)
+    base = m_lambda(lam, h)
     if min(h.k, h.l) == 0:
         return base
-    return base - m_lambda(lam, h.shrink(), cache)
+    return base - m_lambda(lam, h.shrink())
 
 
-def m_bar_prime_char(lam: Partition, h, cache: Optional[KroneckerCache] = None) -> int:
+def m_bar_prime_char(lam: Partition, h) -> int:
     h = as_hook(h)
-    base = m_bar_lambda(lam, h, cache)
+    base = m_bar_lambda(lam, h)
     if min(h.k, h.l) == 0:
         return base
-    return base - m_bar_lambda(lam, h.shrink(), cache)
+    return base - m_bar_lambda(lam, h.shrink())
 
 
 def series_table(n: int, m: int) -> VarTable:
@@ -42,22 +41,21 @@ def series_table(n: int, m: int) -> VarTable:
                     + [f"u{j}" for j in range(1, m + 1)])
 
 
-def _multiplicity(mode: str, lam: Partition, h: Hook, route: str,
-                  cache: Optional[KroneckerCache]) -> int:
+def _multiplicity(mode: str, lam: Partition, h: Hook, route: str) -> int:
     if mode == "plain":
-        return m_lambda(lam, h, cache)
+        return m_lambda(lam, h)
     if mode == "bar":
-        return m_bar_lambda(lam, h, cache)
+        return m_bar_lambda(lam, h)
     if mode == "prime":
-        return m_prime_residue(lam, h) if route == "residue" else m_prime_char(lam, h, cache)
+        return m_prime_residue(lam, h) if route == "residue" else m_prime_char(lam, h)
     if mode == "bar_prime":
         return m_bar_prime_residue(lam, h) if route == "residue" \
-            else m_bar_prime_char(lam, h, cache)
+            else m_bar_prime_char(lam, h)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def p_series(mode: str, h, n: int, m: int, D: int, route: str = "residue",
-             cache: Optional[KroneckerCache] = None) -> LaurentPoly:
+def p_series(mode: str, h, n: int, m: int, D: int,
+             route: str = "residue") -> LaurentPoly:
     """Sum over |lam| <= D of multiplicity(lam) * HS_lam(t_1..t_n; u_1..u_m).
 
     Only lam inside the (n, m) hook can contribute (the hook theorem), so
@@ -74,7 +72,7 @@ def p_series(mode: str, h, n: int, m: int, D: int, route: str = "residue",
     total = LaurentPoly.zero(table)
     for d in range(D + 1):
         for lam in enumerate_partitions(d, in_hook=(n, m)):
-            c = _multiplicity(mode, lam, h, route, cache)
+            c = _multiplicity(mode, lam, h, route)
             if c:
                 total = total + hook_schur_eval(lam, T, U) * c
     return total
@@ -87,15 +85,15 @@ def univariate_coefficients(series: LaurentPoly, D: int) -> list[int]:
     return [series.coefficient((d,)) for d in range(D + 1)]
 
 
-def verify_budzik(lam: Partition, h, cache: Optional[KroneckerCache] = None) -> dict:
+def verify_budzik(lam: Partition, h) -> dict:
     """Residue vs character route for one (lam, hook), plus the diagonal
     summation identity for the same pair.  Failures are reported, not thrown."""
     h = as_hook(h)
     lhs = m_prime_residue(lam, h)
-    rhs = m_prime_char(lam, h, cache)
+    rhs = m_prime_char(lam, h)
     diag = sum(m_prime_residue(lam, Hook(h.k - i, h.l - i))
                for i in range(min(h.k, h.l) + 1))
-    m_direct = m_lambda(lam, h, cache)
+    m_direct = m_lambda(lam, h)
     ok = (lhs == rhs) and (diag == m_direct)
     return {"lambda": list(lam), "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
             "pass": ok, "eq_a_lhs": m_direct, "eq_a_rhs": diag}
@@ -129,14 +127,12 @@ def budzik_suite(max_size: int, hooks, jobs: int = 1) -> list[dict]:
 
 
 def check_derivative_relation(h, n: int, D: int, primed: bool,
-                              route: str = "residue",
-                              cache: Optional[KroneckerCache] = None):
+                              route: str = "residue"):
     """Linear-slice check: the part of the (n+1)-variable series exactly
     linear in the last variable, with that variable divided out, must equal
     the concomitant series in n variables through total degree D-1."""
     h = as_hook(h)
-    big = p_series("prime" if primed else "plain", h, n + 1, 0, D,
-                   route=route, cache=cache)
+    big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route=route)
     small_table = series_table(n, 0)
     last = n  # index of t_{n+1} in the big table
     lin_terms = {}
@@ -144,8 +140,7 @@ def check_derivative_relation(h, n: int, D: int, primed: bool,
         if e[last] == 1:
             lin_terms[e[:last]] = c
     lin = LaurentPoly(small_table, lin_terms)
-    bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1,
-                   route=route, cache=cache)
+    bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
     ok = lin == bar
     return ok, {"hook": [h.k, h.l], "n": n, "degree": D, "primed": primed,
                 "linear_slice": str(lin), "bar_series": str(bar), "pass": ok}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import factorial
 
 from .hookschur import Alphabet, hook_schur_eval
-from .laurent import LaurentPoly, VarTable
+from .laurent import InexactError, LaurentPoly, VarTable
 from .partitions import Hook, Partition, as_hook
 
 _HS_ON_Z_CACHE: dict = {}
@@ -84,15 +84,21 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     return terms.get((0,) * n, 0)
 
 
+def _divide_by_weyl_order(ct: int, h: Hook) -> int:
+    """ct / (k! l!), which must be exact."""
+    q, r = divmod(ct, factorial(h.k) * factorial(h.l))
+    if r:
+        raise InexactError("constant term not divisible by k! l! (expansion bug)")
+    return q
+
+
 def inner_product(f: LaurentPoly, g: LaurentPoly, h, slack: int = 0) -> int:
     """<f, g> = (k! l!)^-1 x constant term of f(X;Y) g(X^-1;Y^-1) Delta."""
     h = as_hook(h)
     if f.table != g.table:
         raise ValueError("variable table mismatch")
     ct = constant_term_with_delta(f * g.invert_variables(), h, slack)
-    q, r = divmod(ct, factorial(h.k) * factorial(h.l))
-    assert r == 0, "constant term not divisible by k! l! (expansion bug)"
-    return q
+    return _divide_by_weyl_order(ct, h)
 
 
 def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
@@ -134,9 +140,7 @@ def m_prime_residue(lam: Partition, h, slack: int = 0) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump."""
     h = as_hook(h)
     ct = constant_term_with_delta(hs_on_z(lam, h), h, slack)
-    q, r = divmod(ct, factorial(h.k) * factorial(h.l))
-    assert r == 0, "constant term not divisible by k! l! (expansion bug)"
-    return q
+    return _divide_by_weyl_order(ct, h)
 
 
 def m_bar_prime_residue(lam: Partition, h, slack: int = 0) -> int:
@@ -145,10 +149,4 @@ def m_bar_prime_residue(lam: Partition, h, slack: int = 0) -> int:
     _, z0, z1 = z_alphabets(h)
     f = hs_on_z(lam, h) * (z0.sum_poly() + z1.sum_poly())
     ct = constant_term_with_delta(f, h, slack)
-    q, r = divmod(ct, factorial(h.k) * factorial(h.l))
-    assert r == 0, "constant term not divisible by k! l! (expansion bug)"
-    return q
-
-
-def clear_caches() -> None:
-    _HS_ON_Z_CACHE.clear()
+    return _divide_by_weyl_order(ct, h)

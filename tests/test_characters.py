@@ -3,9 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from superschur.characters import (KroneckerCache, class_size, dimension,
-                                   kronecker, m_bar_lambda, m_lambda,
-                                   mn_character)
+from superschur.characters import (class_size, dimension, kronecker,
+                                   m_bar_lambda, m_lambda, mn_character)
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 
@@ -164,14 +163,13 @@ def test_m_bar_lambda_is_successor_sum():
                 assert m_bar_lambda(lam, h) == expected
 
 
-def test_cache_roundtrip(tmp_path):
-    cache = KroneckerCache()
-    assert kronecker((2, 1), (2, 1), (2, 1), cache) == 1
-    assert mn_character((2, 2), (2, 2), cache) == 2
-    path = str(tmp_path / "cache.json")
-    cache.save(path)
-    fresh = KroneckerCache()
-    fresh.load(path)
-    assert fresh.kron == cache.kron
-    assert fresh.chi == cache.chi
-    assert kronecker((2, 1), (2, 1), (2, 1), fresh) == 1
+def test_m_lambda_matches_kronecker_oracle():
+    # the class-function inner product equals the sum of Kronecker triples
+    hooks = [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (0, 3)]
+    for n in range(9):
+        parts = enumerate_partitions(n)
+        for h in hooks:
+            hook = enumerate_partitions(n, in_hook=h)
+            for lam in parts:
+                expected = sum(kronecker(lam, mu, mu) for mu in hook)
+                assert m_lambda(lam, h) == expected, (lam, h)

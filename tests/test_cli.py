@@ -1,10 +1,8 @@
 import io
 import json
-import os
 
 import pytest
 
-from superschur.characters import default_cache
 from superschur.cli import _parse_hook, _parse_hooks, build_parser, main
 from superschur.partitions import Hook
 
@@ -113,26 +111,7 @@ def test_bad_usage_exits_2():
     assert main(["nonsense"]) == 2
     assert main(["series", "--mode", "prime", "--hook", "1,1",
                  "--n", "0", "--m", "0"]) == 2  # no series variables
-
-
-def test_cache_file_roundtrip(tmp_path):
-    path = str(tmp_path / "cache.json")
-    code, _ = run_cli("--cache", path, "mprime", "--lambda", "2,1",
-                      "--hook", "1,1", "--route", "char")
-    assert code == 0 and os.path.exists(path)
-    data = json.loads(open(path).read())
-    assert data  # character values were persisted
-    # a second run loads the same file without error
-    code, text = run_cli("--cache", path, "mprime", "--lambda", "2,1",
-                         "--hook", "1,1", "--route", "char")
-    assert code == 0 and text.strip() == "1"
-
-
-def test_env_cache_variable(tmp_path, monkeypatch):
-    path = str(tmp_path / "envcache.json")
-    monkeypatch.setenv("SUPERSCHUR_CACHE", path)
-    code, _ = run_cli("mlambda", "--lambda", "2", "--hook", "1,1")
-    assert code == 0 and os.path.exists(path)
+    assert main(["verify", "budzik", "--format", "csv"]) == 2  # text or json only
 
 
 def test_parser_builds():

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
-from superschur.laurent import LaurentPoly, VarTable, divide_exact
+import superschur
+from superschur.laurent import InexactError, LaurentPoly, VarTable, divide_exact
 
 from conftest import TABLE2, laurent_polys
 
@@ -103,10 +108,24 @@ def test_divide_exact_roundtrip(f, g):
 
 
 def test_divide_exact_rejects_inexact():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InexactError):
         divide_exact(X + 1, Y + 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InexactError):
         divide_exact(3 * X, 2 * X)
+
+
+def test_inexact_scalar_division_raises_under_optimize():
+    # python -O strips asserts; the exactness check must survive it
+    code = ("from superschur.laurent import InexactError, LaurentPoly, VarTable\n"
+            "try:\n"
+            "    LaurentPoly(VarTable(['x']), {(0,): 3}).divexact_scalar(2)\n"
+            "except InexactError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    # the directory that holds the superschur package imported here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(superschur.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 def test_serialization_graded_lex():
