@@ -2,9 +2,10 @@
 
 Three routes are provided: the definitional sum over sub-shapes, the
 Jozefiak-Pragacz symmetrized rational sum, and the factorization formula
-for typical shapes.  Evaluation on large monomial alphabets goes through
-power sums, Newton's identities, and Jacobi-Trudi determinants; tableau
-enumeration is kept as an independent cross-check oracle.
+for typical shapes.  Evaluation on large monomial alphabets expands the
+generating product of the super complete functions and takes one
+Jacobi-Trudi determinant in them; tableau enumeration is kept as an
+independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ class Alphabet:
     """Ordered multiset of signed Laurent monomials over a shared table.
 
     Repeats and the constant monomial 1 are permitted.  Hashable so that
-    power-sum and hook-Schur caches can key on it.
+    the complete-function and hook-Schur caches can key on it.
     """
 
     __slots__ = ("table", "monos")
@@ -81,50 +82,32 @@ class Alphabet:
             total = total + LaurentPoly.monomial(self.table, c, e)
         return total
 
-    def power_sum(self, r: int) -> LaurentPoly:
-        terms: dict[tuple, int] = {}
-        for c, e in self.monos:
-            key = tuple(r * a for a in e)
-            s = terms.get(key, 0) + c ** r
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return LaurentPoly(self.table, terms)
 
-
-# -- Newton's identities and Jacobi-Trudi ------------------------------
+# -- complete functions and Jacobi-Trudi ------------------------------
 
 _HOM_CACHE: dict = {}
 _HS_CACHE: dict = {}
 
 
-def _hom_from_power_sums(table: VarTable, psums: list[LaurentPoly],
-                         upto: int) -> list[LaurentPoly]:
-    """h_0..h_upto from p_1..p_upto; divisions by r checked exact."""
-    hs = [LaurentPoly.const(table, 1)]
-    for r in range(1, upto + 1):
-        acc = LaurentPoly.zero(table)
-        for i in range(1, r + 1):
-            acc = acc + psums[i - 1] * hs[r - i]
-        hs.append(acc.divexact_scalar(r))
-    return hs
-
-
 def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]:
-    """Complete functions of the super alphabet X;Y, generating function
-    prod (1 - x z)^-1 prod (1 + y z)."""
+    """Complete functions h_0..h_upto of the super alphabet X;Y, expanded
+    from the generating function prod (1 - x z)^-1 prod (1 + y z) one
+    factor at a time."""
     key = (X, Y, upto)
     hit = _HOM_CACHE.get(key)
     if hit is not None:
         return hit
     table = X.table
-    psums = []
-    for r in range(1, upto + 1):
-        p = X.power_sum(r)
-        py = Y.power_sum(r)
-        psums.append(p + py if r % 2 else p - py)
-    hs = _hom_from_power_sums(table, psums, upto)
+    hs = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * upto
+    for i in range(len(X)):
+        x = X.entry(i)
+        for r in range(1, upto + 1):
+            hs[r] = hs[r] + x * hs[r - 1]
+    for j in range(len(Y)):
+        y = Y.entry(j)
+        # downward, so that hs[r - 1] has not yet taken this factor
+        for r in range(upto, 0, -1):
+            hs[r] = hs[r] + y * hs[r - 1]
     _HOM_CACHE[key] = hs
     return hs
 
@@ -158,17 +141,35 @@ def _det(mat: list[list[LaurentPoly]], table: VarTable) -> LaurentPoly:
     return rec(tuple(range(n)))
 
 
+def _jacobi_trudi(lam: Partition, mu: Partition, X: Alphabet,
+                  Y: Alphabet) -> LaurentPoly:
+    """det[h_{lam_i - mu_j - i + j}(X;Y)], the skew Jacobi-Trudi determinant
+    of lam/mu in the super complete functions."""
+    table = X.table
+    height = len(lam)
+    if height == 0:
+        return LaurentPoly.const(table, 1)
+    hs = super_hom_sequence(X, Y, lam[0] + height - 1)
+    zero = LaurentPoly.zero(table)
+
+    def entry(i: int, j: int) -> LaurentPoly:
+        d = lam[i] - part(mu, j + 1) - i + j
+        return hs[d] if 0 <= d < len(hs) else zero
+
+    return _det([[entry(i, j) for j in range(height)] for i in range(height)],
+                table)
+
+
 def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """HS_lam(X;Y) through power sums and Jacobi-Trudi (fast route).
+    """HS_lam(X;Y) through the super Jacobi-Trudi determinant (fast route).
 
     Uses the duality HS_lam(X;Y) = HS_lam'(Y;X) to keep the determinant
     at size min(height, width).
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
-    table = X.table
     if not lam:
-        return LaurentPoly.const(table, 1)
+        return LaurentPoly.const(X.table, 1)
     key = (tuple(lam), X, Y)
     hit = _HS_CACHE.get(key)
     if hit is not None:
@@ -176,12 +177,7 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     if len(lam) > lam[0]:
         result = hook_schur_eval(conjugate(lam), Y, X)
     else:
-        height = len(lam)
-        hs = super_hom_sequence(X, Y, lam[0] + height - 1)
-        zero = LaurentPoly.zero(table)
-        mat = [[hs[lam[i] - i + j] if 0 <= lam[i] - i + j < len(hs) else zero
-                for j in range(height)] for i in range(height)]
-        result = _det(mat, table)
+        result = _jacobi_trudi(lam, (), X, Y)
     _HS_CACHE[key] = result
     return result
 
@@ -195,19 +191,7 @@ def skew_schur_eval(lam: Partition, mu: Partition, A: Alphabet) -> LaurentPoly:
     """s_{lam/mu}(A) by the skew Jacobi-Trudi determinant."""
     if any(part(mu, i) > part(lam, i) for i in range(1, len(mu) + 1)):
         raise ValueError(f"{mu} is not contained in {lam}")
-    table = A.table
-    height = len(lam)
-    if height == 0:
-        return LaurentPoly.const(table, 1)
-    upto = lam[0] + height - 1
-    hs = super_hom_sequence(A, Alphabet.empty(table), upto)
-    zero = LaurentPoly.zero(table)
-    mat = [[None] * height for _ in range(height)]
-    for i in range(height):
-        for j in range(height):
-            d = lam[i] - part(mu, j + 1) - i + j
-            mat[i][j] = hs[d] if 0 <= d <= upto else zero
-    return _det(mat, table)
+    return _jacobi_trudi(lam, mu, A, Alphabet.empty(A.table))
 
 
 # -- tableau oracles ----------------------------------------------------

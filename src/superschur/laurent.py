@@ -92,21 +92,12 @@ class LaurentPoly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * len(self.table), 0)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def single_term(self) -> tuple[int, tuple]:
         """(coeff, exps) of the unique term; raises if not a monomial."""
         if len(self.terms) != 1:
             raise ValueError("not a monomial")
         ((e, c),) = self.terms.items()
         return c, e
-
-    def total_degree_range(self) -> tuple[int, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        degs = [sum(e) for e in self.terms]
-        return min(degs), max(degs)
 
     def degree_range(self, var: str) -> tuple[int, int]:
         """(min, max) exponent of `var` over all terms; rejects zero."""
@@ -231,15 +222,6 @@ class LaurentPoly:
         """f(x1,...,xn) -> f(x1^-1,...,xn^-1)."""
         return LaurentPoly(self.table, {tuple(-a for a in e): c
                                         for e, c in self.terms.items()})
-
-    def divexact_scalar(self, d: int) -> "LaurentPoly":
-        out = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, d)
-            if r:
-                raise InexactError(f"coefficient {c} not divisible by {d}")
-            out[e] = q
-        return LaurentPoly(self.table, out)
 
     def truncate(self, max_degree: int, var_names=None) -> "LaurentPoly":
         """Drop terms whose exponent sum over `var_names` exceeds max_degree.

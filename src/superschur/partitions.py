@@ -73,10 +73,6 @@ def part(lam: Partition, i: int) -> int:
     return lam[i - 1] if 1 <= i <= len(lam) else 0
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     if not lam:
         return ()

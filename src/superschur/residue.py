@@ -19,9 +19,6 @@ from .hookschur import Alphabet, hook_schur_eval
 from .laurent import InexactError, LaurentPoly, VarTable
 from .partitions import Hook, Partition, as_hook
 
-_HS_ON_Z_CACHE: dict = {}
-
-
 def residue_table(h) -> VarTable:
     h = as_hook(h)
     return VarTable([f"x{i}" for i in range(1, h.k + 1)]
@@ -126,14 +123,7 @@ def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
 
 def hs_on_z(lam: Partition, h) -> LaurentPoly:
     """HS_lam(Z0;Z1) as a Laurent polynomial in the hook's variables."""
-    h = as_hook(h)
-    key = (tuple(lam), h.k, h.l)
-    hit = _HS_ON_Z_CACHE.get(key)
-    if hit is None:
-        _, z0, z1 = z_alphabets(h)
-        hit = hook_schur_eval(tuple(lam), z0, z1)
-        _HS_ON_Z_CACHE[key] = hit
-    return hit
+    return hook_schur_eval(tuple(lam), *z_alphabets(h)[1:])
 
 
 def m_prime_residue(lam: Partition, h, slack: int = 0) -> int:

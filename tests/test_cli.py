@@ -92,6 +92,14 @@ def test_verify_budzik_text_summary_first():
     assert first["suite"] == "budzik" and first["failures"] == 0
 
 
+def test_verify_budzik_independent_of_jobs():
+    runs = [run_cli("verify", "budzik", "--max-size", "4",
+                    "--hooks", "1,1;2,1;2,2", "--jobs", jobs)
+            for jobs in ("1", "4")]
+    assert runs[0][0] == 0
+    assert runs[0] == runs[1]
+
+
 def test_verify_lemmas_passes():
     code, text = run_cli("verify", "lemmas", "--max-size", "3",
                          "--hooks", "1,1", "--degree", "3", "--format", "json")

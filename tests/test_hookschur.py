@@ -1,10 +1,12 @@
+from itertools import combinations, combinations_with_replacement
+
 import pytest
 
 from superschur.hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
                                   hook_schur_factorized, hook_schur_jp,
                                   schur_by_tableaux, schur_eval,
                                   skew_schur_by_tableaux, skew_schur_eval,
-                                  sub_partitions)
+                                  sub_partitions, super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
@@ -133,3 +135,31 @@ def test_monomial_alphabet_entries():
     expected = (LaurentPoly.monomial(t, 1, (2, -2)) + LaurentPoly.const(t, 1)
                 + LaurentPoly.monomial(t, 1, (-2, 2)))
     assert hook_schur_eval((2,), A, B) == expected
+
+
+def test_super_hom_sequence_on_signed_alphabets():
+    # h_r(X;Y) = sum_{i+j=r} h_i(X) e_j(Y), with h_i and e_j summed over
+    # multisets and sets of entries.  X holds a repeat, the unit monomial
+    # and a -1 entry; Y holds a -1 entry too.
+    t = VarTable(["a", "b"])
+    X = Alphabet(t, [(1, (1, 0)), (1, (1, 0)), (1, (0, 0)), (-1, (-1, 1))])
+    Y = Alphabet(t, [(1, (0, 1)), (-1, (1, -1)), (1, (-1, 0))])
+
+    def sum_of_products(A, choose, r):
+        total = LaurentPoly.zero(t)
+        for idx in choose(range(len(A)), r):
+            term = LaurentPoly.const(t, 1)
+            for i in idx:
+                term = term * A.entry(i)
+            total = total + term
+        return total
+
+    hs = super_hom_sequence(X, Y, 6)
+    assert len(hs) == 7
+    for r in range(7):
+        expected = LaurentPoly.zero(t)
+        for i in range(r + 1):
+            expected = expected + (
+                sum_of_products(X, combinations_with_replacement, i)
+                * sum_of_products(Y, combinations, r - i))
+        assert hs[r] == expected
