@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 
 from .characters import m_bar_lambda, m_lambda
@@ -212,6 +213,10 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
+    # A reader that closes the pipe early (`| head`) ends the command
+    # silently, as for other Unix filters, instead of with a traceback.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -1,13 +1,23 @@
 """Exact sparse multivariate Laurent polynomials over the integers.
 
-Coefficients are arbitrary-precision ints; exponent vectors are dense
-tuples over a fixed variable table, negative exponents allowed.  No
-floating point anywhere.
+Coefficients are arbitrary-precision ints; exponent vectors range over a
+fixed variable table, negative exponents allowed.  No floating point
+anywhere.
+
+Internally each exponent vector is packed into one int (Kronecker
+substitution): field i holds e_i + 2^(WIDTH-1) at bit WIDTH*i, so a
+product adds two ints per term pair instead of zipping tuples.  Every
+polynomial carries `reach`, a bound on |e_i| over its terms; a product
+whose bound could pass `VarTable.LIMIT` raises before it is formed, so a
+carry into the next field can never happen.  The public API speaks
+tuples: constructors take tuple-keyed mappings and `.terms` is a
+read-only tuple-keyed view.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import ItemsView, Mapping
+from typing import Iterable
 
 
 class InexactError(ArithmeticError):
@@ -16,9 +26,18 @@ class InexactError(ArithmeticError):
 
 
 class VarTable:
-    """Ordered list of distinct variable names, fixed for its lifetime."""
+    """Ordered list of distinct variable names, fixed for its lifetime.
 
-    __slots__ = ("names", "_index")
+    Owns the packing of exponent vectors into ints: `pack`, `unpack`, and
+    `zero_key`, the packed form of the zero vector.
+    """
+
+    WIDTH = 16  # bits per packed exponent field
+    LIMIT = (1 << (WIDTH - 1)) - 1  # largest |exponent| a field holds
+    _MASK = (1 << WIDTH) - 1
+    _BIAS = 1 << (WIDTH - 1)
+
+    __slots__ = ("names", "_index", "zero_key")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -26,6 +45,7 @@ class VarTable:
             raise ValueError(f"duplicate variable names: {names}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self.zero_key = sum(self._BIAS << (self.WIDTH * i) for i in range(len(names)))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -45,28 +65,111 @@ class VarTable:
     def __repr__(self) -> str:
         return f"VarTable({', '.join(self.names)})"
 
+    def pack(self, exps) -> int:
+        """The packed key of an exponent vector; ValueError past LIMIT."""
+        if len(exps) != len(self.names):
+            raise ValueError("exponent vector length does not match table")
+        key = self.zero_key
+        for i, a in enumerate(exps):
+            if abs(a) > self.LIMIT:
+                raise ValueError(f"exponent {a} is past the packing limit {self.LIMIT}")
+            key += a << (self.WIDTH * i)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(self.field(key, i) for i in range(len(self.names)))
+
+    def field(self, key: int, i: int) -> int:
+        """Exponent of variable i in a packed key."""
+        return ((key >> (self.WIDTH * i)) & self._MASK) - self._BIAS
+
+    def clip(self, packed: dict, i: int, lo: int, hi: int) -> dict:
+        """The packed terms whose exponent of variable i lies in [lo, hi]."""
+        shift, mask = self.WIDTH * i, self._MASK
+        lo, hi = lo + self._BIAS, hi + self._BIAS
+        return {key: c for key, c in packed.items() if lo <= (key >> shift) & mask <= hi}
+
+
+class _Terms(Mapping):
+    """Read-only tuple-keyed view of a polynomial's packed terms."""
+
+    __slots__ = ("_table", "_packed")
+
+    def __init__(self, table: VarTable, packed: dict):
+        self._table = table
+        self._packed = packed
+
+    def __getitem__(self, exps) -> int:
+        try:
+            return self._packed[self._table.pack(exps)]
+        except (TypeError, ValueError):
+            raise KeyError(exps) from None
+
+    def __iter__(self):
+        return map(self._table.unpack, self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def items(self):
+        return _TermItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        unpack = self._mapping._table.unpack
+        for key, c in self._mapping._packed.items():
+            yield unpack(key), c
+
 
 class LaurentPoly:
     """Sparse Laurent polynomial: map from exponent tuples to nonzero ints.
 
     Treat instances as immutable; all arithmetic returns new objects.
+    `_packed` maps packed exponent keys to coefficients; `residue` reads
+    it directly for its constant-term extraction.
     """
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "_packed", "reach")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, int]):
+        packed = {}
+        reach = 0
+        for e, c in terms.items():
+            if c:
+                packed[table.pack(e)] = c
+                reach = max(reach, max(map(abs, e), default=0))
         self.table = table
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self._packed = packed
+        self.reach = reach
+
+    @classmethod
+    def _from_packed(cls, table: VarTable, packed: dict, reach: int) -> "LaurentPoly":
+        """Wrap an already packed dict of nonzero coefficients."""
+        poly = object.__new__(cls)
+        poly.table = table
+        poly._packed = packed
+        poly.reach = reach
+        return poly
+
+    @property
+    def terms(self) -> Mapping[tuple, int]:
+        return _Terms(self.table, self._packed)
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, table: VarTable) -> "LaurentPoly":
-        return cls(table, {})
+        return cls._from_packed(table, {}, 0)
 
     @classmethod
     def const(cls, table: VarTable, c: int) -> "LaurentPoly":
-        return cls(table, {(0,) * len(table): c})
+        return cls._from_packed(table, {table.zero_key: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, table: VarTable, name: str) -> "LaurentPoly":
@@ -76,35 +179,33 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, table: VarTable, coeff: int, exps: tuple) -> "LaurentPoly":
-        if len(exps) != len(table):
-            raise ValueError("exponent vector length does not match table")
         return cls(table, {tuple(exps): coeff})
 
     # -- basic queries -----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def coefficient(self, exps: tuple) -> int:
         return self.terms.get(tuple(exps), 0)
 
     @property
     def constant_term(self) -> int:
-        return self.terms.get((0,) * len(self.table), 0)
+        return self._packed.get(self.table.zero_key, 0)
 
     def single_term(self) -> tuple[int, tuple]:
         """(coeff, exps) of the unique term; raises if not a monomial."""
-        if len(self.terms) != 1:
+        if len(self._packed) != 1:
             raise ValueError("not a monomial")
-        ((e, c),) = self.terms.items()
-        return c, e
+        ((key, c),) = self._packed.items()
+        return c, self.table.unpack(key)
 
     def degree_range(self, var: str) -> tuple[int, int]:
         """(min, max) exponent of `var` over all terms; rejects zero."""
-        if not self.terms:
+        if not self._packed:
             raise ValueError("zero polynomial has no degree range")
         i = self.table.index(var)
-        exps = [e[i] for e in self.terms]
+        exps = [self.table.field(key, i) for key in self._packed]
         return min(exps), max(exps)
 
     # -- arithmetic --------------------------------------------------
@@ -117,19 +218,20 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        terms = dict(self._packed)
+        for key, c in other._packed.items():
+            s = terms.get(key, 0) + c
             if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return LaurentPoly(self.table, terms)
+                terms[key] = s
+            else:
+                del terms[key]
+        return LaurentPoly._from_packed(self.table, terms, max(self.reach, other.reach))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._from_packed(
+            self.table, {key: -c for key, c in self._packed.items()}, self.reach)
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -141,21 +243,34 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly(self.table, {e: c * other for e, c in self.terms.items()})
+            if not other:
+                return LaurentPoly.zero(self.table)
+            return LaurentPoly._from_packed(
+                self.table, {key: c * other for key, c in self._packed.items()},
+                self.reach)
         self._check(other)
-        a, b = self.terms, other.terms
+        reach = self.reach + other.reach
+        if reach > VarTable.LIMIT:
+            raise ValueError(f"product exponent bound {reach} is past the "
+                             f"packing limit {VarTable.LIMIT}")
+        a, b = self._packed, other._packed
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return LaurentPoly(self.table, out)
+        zero_key = self.table.zero_key
+        if len(a) == 1:  # a monomial shifts keys injectively: no collisions
+            ((ka, ca),) = a.items()
+            ka -= zero_key
+            return LaurentPoly._from_packed(
+                self.table, {ka + kb: ca * cb for kb, cb in b.items()}, reach)
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in a.items():
+            ka -= zero_key
+            for kb, cb in b.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        return LaurentPoly._from_packed(
+            self.table, {key: c for key, c in out.items() if c}, reach)
 
     __rmul__ = __mul__
 
@@ -176,10 +291,10 @@ class LaurentPoly:
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
         return isinstance(other, LaurentPoly) and self.table == other.table \
-            and self.terms == other.terms
+            and self._packed == other._packed
 
     def __hash__(self) -> int:
-        return hash((self.table, frozenset(self.terms.items())))
+        return hash((self.table, frozenset(self._packed.items())))
 
     # -- structural operations ---------------------------------------
 
@@ -220,8 +335,10 @@ class LaurentPoly:
 
     def invert_variables(self) -> "LaurentPoly":
         """f(x1,...,xn) -> f(x1^-1,...,xn^-1)."""
-        return LaurentPoly(self.table, {tuple(-a for a in e): c
-                                        for e, c in self.terms.items()})
+        twice_zero = 2 * self.table.zero_key
+        return LaurentPoly._from_packed(
+            self.table, {twice_zero - key: c for key, c in self._packed.items()},
+            self.reach)
 
     def truncate(self, max_degree: int, var_names=None) -> "LaurentPoly":
         """Drop terms whose exponent sum over `var_names` exceeds max_degree.
@@ -246,7 +363,7 @@ class LaurentPoly:
                       reverse=True)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for exps, coeff in self.sorted_terms():
@@ -269,13 +386,14 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     n = len(f.table)
-    fmin = [min(e[i] for e in f.terms) for i in range(n)]
-    fmax = [max(e[i] for e in f.terms) for i in range(n)]
-    gmin = [min(e[i] for e in g.terms) for i in range(n)]
-    gmax = [max(e[i] for e in g.terms) for i in range(n)]
-    gkey = max(g.terms)
-    gcoef = g.terms[gkey]
-    rem = dict(f.terms)
+    rem = dict(f.terms.items())
+    gterms = dict(g.terms.items())
+    fmin = [min(e[i] for e in rem) for i in range(n)]
+    fmax = [max(e[i] for e in rem) for i in range(n)]
+    gmin = [min(e[i] for e in gterms) for i in range(n)]
+    gmax = [max(e[i] for e in gterms) for i in range(n)]
+    gkey = max(gterms)
+    gcoef = gterms[gkey]
     quo: dict[tuple, int] = {}
     while rem:
         fkey = max(rem)
@@ -285,7 +403,7 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         if not ok or r:
             raise InexactError("polynomial division is not exact")
         quo[qkey] = qc
-        for e, c in g.terms.items():
+        for e, c in gterms.items():
             key = tuple(a + b for a, b in zip(qkey, e))
             s = rem.get(key, 0) - qc * c
             if s:

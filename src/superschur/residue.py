@@ -48,37 +48,45 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     """Exact constant term of f * Delta, with Delta expanded per the
     |x| > |y| ordering.  Factors are absorbed grouped by x index then y
     index; after all factors touching x_i are in, terms off x_i = 0 are
-    discarded (they cannot reach the constant term)."""
+    discarded (they cannot reach the constant term).  Works on packed
+    exponent keys: absorbing one factor of (x_i^-1 y_j) adds `step`."""
     h = as_hook(h)
     k, ell = h.k, h.l
-    n = len(f.table)
-    if n != k + ell:
+    table = f.table
+    if len(table) != k + ell:
         raise ValueError("polynomial table does not match the hook")
-    terms = (f * delta_numerator(f.table, h)).terms
-    # dead-term prune: x exponents only ever decrease, y only increase
-    terms = {e: c for e, c in terms.items()
-             if all(e[i] >= -slack for i in range(k))
-             and all(e[k + j] <= slack for j in range(ell))}
+    if slack > VarTable.LIMIT:
+        raise ValueError(f"slack {slack} is past the packing limit {VarTable.LIMIT}")
+    field, clip, limit = table.field, table.clip, VarTable.LIMIT
+    num = delta_numerator(table, h)
+    # x exponents only ever decrease, y only increase: a term must reach
+    # x_i >= -slack and y_j <= slack after num, and must stay there
+    terms = f._packed
+    for i in range(k):
+        terms = clip(terms, i, -slack - num.degree_range(table.names[i])[1], limit)
+    for j in range(k, k + ell):
+        terms = clip(terms, j, -limit, slack - num.degree_range(table.names[j])[0])
+    terms = (LaurentPoly._from_packed(table, terms, f.reach) * num)._packed
+    for i in range(k):
+        terms = clip(terms, i, -slack, limit)
+    for j in range(k, k + ell):
+        terms = clip(terms, j, -limit, slack)
+    width = VarTable.WIDTH
     for i in range(k):
         for j in range(ell):
-            new: dict[tuple, int] = {}
-            for e, c in terms.items():
-                bound = min(e[i] + slack, slack - e[k + j])
+            step = (1 << (width * (k + j))) - (1 << (width * i))
+            new: dict[int, int] = {}
+            get = new.get
+            for key, c in terms.items():
+                bound = min(field(key, i) + slack, slack - field(key, k + j))
+                # the m-th term of the factor is (m + 1) (-x_i^-1 y_j)^m
                 for m in range(bound + 1):
-                    coeff = c * (m + 1) * (1 if m % 2 == 0 else -1)
-                    key = list(e)
-                    key[i] -= m
-                    key[k + j] += m
-                    key = tuple(key)
-                    s = new.get(key, 0) + coeff
-                    if s:
-                        new[key] = s
-                    elif key in new:
-                        del new[key]
-            terms = new
-        terms = {e: c for e, c in terms.items() if abs(e[i]) <= slack and
-                 (slack or e[i] == 0)}
-    return terms.get((0,) * n, 0)
+                    new[key] = get(key, 0) + c * (m + 1)
+                    key += step
+                    c = -c
+            terms = {key: c for key, c in new.items() if c}
+        terms = clip(terms, i, -slack, slack)
+    return terms.get(table.zero_key, 0)
 
 
 def _divide_by_weyl_order(ct: int, h: Hook) -> int:

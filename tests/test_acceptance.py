@@ -87,20 +87,19 @@ def test_03_one_even_variable_series_closed_form():
     _verdict("one even variable: series == closed form == typical counts", ok)
 
 
-ODD_CHAR_HOOKS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
+ODD_HOOKS = [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2)]
 ODD_RESIDUE_HOOKS = [(1, 1), (2, 1), (2, 2)]
 
 
 def test_04_one_odd_variable_series_closed_form():
     ok = True
-    for k, l in ODD_CHAR_HOOKS:
+    for k, l in ODD_HOOKS:
         closed = list(closed_form_series("supertraces_01", (k, l), D10).coeffs)
         big = gf_partitions(D10, in_hook=(k, l), self_conjugate=True)
         small = (gf_partitions(D10, in_hook=(k - 1, l - 1), self_conjugate=True)
                  if min(k, l) >= 1 else TruncatedSeries.zero("u", D10))
         ok = ok and closed == list((big - small).coeffs)
-        routes = ["char"] + (["residue"] if (k, l) in ODD_RESIDUE_HOOKS else [])
-        for route in routes:
+        for route in ("char", "residue"):
             series = p_series("prime", (k, l), 0, 1, D10, route=route)
             ok = ok and univariate_coefficients(series, D10) == closed
     _verdict("one odd variable: series == closed form == self-conjugate "

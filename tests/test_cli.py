@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import superschur
 from superschur.cli import _parse_hook, _parse_hooks, build_parser, main
 from superschur.partitions import Hook
 
@@ -126,3 +131,21 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["mlambda", "--lambda", "3,1", "--hook", "2,1"])
     assert args.lam == (3, 1) and args.hook == Hook(2, 1)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_silently():
+    # the reader end is closed before the command writes its answer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(superschur.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "superschur.cli", "mlambda",
+                               "--lambda", "2,1", "--hook", "1,1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -142,3 +143,88 @@ def test_invert_variables():
     f = X + Y ** 2
     assert f.invert_variables() == (LaurentPoly.monomial(TABLE2, 1, (-1, 0))
                                     + LaurentPoly.monomial(TABLE2, 1, (0, -2)))
+
+
+def tuple_product(f: dict, g: dict) -> dict:
+    """Reference product on tuple-keyed terms: the kernel before packing."""
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+HALF = VarTable.LIMIT // 2
+TABLES = {n: VarTable([f"v{i}" for i in range(n)]) for n in (0, 1, 3, 5)}
+
+
+@st.composite
+def term_pairs(draw):
+    # small exponents of both signs, and exponents near half the field limit,
+    # so that a product of two terms reaches the edge of a field
+    n = draw(st.sampled_from(sorted(TABLES)))
+    exps = st.one_of(st.integers(-3, 3), st.integers(HALF - 2, HALF),
+                     st.integers(-HALF, -HALF + 2))
+    terms = st.dictionaries(st.tuples(*[exps] * n), st.integers(-5, 5), max_size=6)
+    return TABLES[n], draw(terms), draw(terms)
+
+
+@given(term_pairs())
+@settings(max_examples=100)
+def test_packed_kernel_matches_tuple_oracle(case):
+    table, ft, gt = case
+    f, g = LaurentPoly(table, ft), LaurentPoly(table, gt)
+    fg = tuple_product(ft, gt)
+    assert dict((f * g).terms.items()) == fg
+    assert dict((f + g).terms.items()) == nonzero(
+        {e: ft.get(e, 0) + gt.get(e, 0) for e in {*ft, *gt}})
+    assert dict((f - g).terms.items()) == nonzero(
+        {e: ft.get(e, 0) - gt.get(e, 0) for e in {*ft, *gt}})
+    assert dict(f.invert_variables().terms.items()) == {
+        tuple(-a for a in e): c for e, c in nonzero(ft).items()}
+    for e in {*ft, *gt, *fg}:
+        assert f.coefficient(e) == ft.get(e, 0)
+        assert (f * g).coefficient(e) == fg.get(e, 0)
+    # the tuple-keyed view: keys, lookups and length round-trip
+    assert len(f.terms) == len(nonzero(ft))
+    assert set(f.terms) == set(nonzero(ft))
+    assert all(f.terms[e] == c for e, c in nonzero(ft).items())
+    assert f.terms == nonzero(ft)
+
+
+def test_terms_view_is_read_only():
+    f = X + 2 * Y
+    with pytest.raises(TypeError):
+        f.terms[(0, 0)] = 1
+    assert f.terms.get((5, 5)) is None
+    assert (1, 0) in f.terms and (0, 0) not in f.terms
+
+
+def test_exponent_past_limit_rejected():
+    edge = VarTable.LIMIT
+    assert LaurentPoly.monomial(TABLE2, 1, (edge, -edge)).coefficient((edge, -edge)) == 1
+    with pytest.raises(ValueError, match=str(edge)):
+        LaurentPoly.monomial(TABLE2, 1, (edge + 1, 0))
+    with pytest.raises(ValueError, match=str(edge)):
+        LaurentPoly(TABLE2, {(0, -edge - 1): 1})
+
+
+def test_product_past_limit_raises():
+    half = VarTable.LIMIT // 2 + 1
+    # x^half * x^half would carry out of the x field into y's
+    f = LaurentPoly.monomial(TABLE2, 1, (half, 0))
+    with pytest.raises(ValueError, match="packing limit"):
+        f * f
+    with pytest.raises(ValueError, match="packing limit"):
+        f ** 2
+    g = LaurentPoly.monomial(TABLE2, 1, (0, -VarTable.LIMIT))
+    with pytest.raises(ValueError, match="packing limit"):
+        g * (Y + 1)
+    # the bound grows through sums and products, not only from the inputs
+    with pytest.raises(ValueError, match="packing limit"):
+        ((f + 1) * X) * (f + Y)

@@ -1,12 +1,16 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from superschur.hookschur import Alphabet, hook_schur_eval
-from superschur.laurent import LaurentPoly
+from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.residue import (constant_term_with_delta, delta_numerator,
                                 inner_product, m_bar_prime_residue,
                                 m_prime_residue, residue_table, z_alphabets)
+
+from conftest import laurent_polys
 
 
 def test_residue_table_layout():
@@ -108,3 +112,24 @@ def test_slack_independence():
                 base = m_prime_residue(lam, h)
                 assert m_prime_residue(lam, h, slack=1) == base
                 assert m_prime_residue(lam, h, slack=2) == base
+
+
+SLACK_HOOKS = [(1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_constant_term_independent_of_slack_on_random_laurent(data):
+    # arbitrary Laurent f, not only hook-Schur values: checks the pruning
+    # of f before the Delta-numerator product as well as the absorption
+    h = data.draw(st.sampled_from(SLACK_HOOKS))
+    f = data.draw(laurent_polys(table=residue_table(h), max_terms=8))
+    base = constant_term_with_delta(f, h, 0)
+    assert constant_term_with_delta(f, h, 1) == base
+    assert constant_term_with_delta(f, h, 3) == base
+
+
+def test_slack_past_limit_rejected():
+    t = residue_table((1, 1))
+    with pytest.raises(ValueError, match="packing limit"):
+        constant_term_with_delta(LaurentPoly.const(t, 1), (1, 1), VarTable.LIMIT + 1)
