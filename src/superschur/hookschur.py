@@ -90,26 +90,31 @@ _HS_CACHE: dict = {}
 
 
 def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]:
-    """Complete functions h_0..h_upto of the super alphabet X;Y, expanded
-    from the generating function prod (1 - x z)^-1 prod (1 + y z) one
-    factor at a time."""
-    key = (X, Y, upto)
-    hit = _HOM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    table = X.table
-    hs = [LaurentPoly.const(table, 1)] + [LaurentPoly.zero(table)] * upto
-    for i in range(len(X)):
-        x = X.entry(i)
-        for r in range(1, upto + 1):
-            hs[r] = hs[r] + x * hs[r - 1]
-    for j in range(len(Y)):
-        y = Y.entry(j)
-        # downward, so that hs[r - 1] has not yet taken this factor
-        for r in range(upto, 0, -1):
-            hs[r] = hs[r] + y * hs[r - 1]
-    _HOM_CACHE[key] = hs
-    return hs
+    """Complete functions h_0..h_upto of the super alphabet X;Y, the
+    coefficients of prod (1 - x z)^-1 prod (1 + y z).
+
+    One memo entry per alphabet pair holds h_0..h_R and the last column
+    col, where col[i] is h_R of the first i factors (X, then Y).  Degree
+    R + 1 takes col[i+1] = col[i] + x * prev[i+1] for an x factor and
+    col[i] + y * prev[i] for a y factor, so a larger `upto` extends the
+    entry and a smaller one slices it.
+    """
+    entry = _HOM_CACHE.get((X, Y))
+    if entry is None:
+        one = LaurentPoly.const(X.table, 1)
+        entry = _HOM_CACHE[(X, Y)] = [[one], [one] * (len(X) + len(Y) + 1)]
+    hs, col = entry
+    xs = [X.entry(i) for i in range(len(X))]
+    ys = [Y.entry(j) for j in range(len(Y))]
+    while len(hs) <= upto:
+        prev, col = col, [LaurentPoly.zero(X.table)]
+        for i, x in enumerate(xs):
+            col.append(col[i] + x * prev[i + 1])
+        for i, y in enumerate(ys, len(xs)):
+            col.append(col[i] + y * prev[i])
+        hs.append(col[-1])
+    entry[1] = col
+    return hs[:upto + 1]
 
 
 def _det(mat: list[list[LaurentPoly]], table: VarTable) -> LaurentPoly:
@@ -306,9 +311,12 @@ def _sign(perm: Sequence[int]) -> int:
 
 
 def hook_schur_jp(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Jozefiak-Pragacz route: symmetrize f_lam over S_k x S_l against the
-    difference products, cleared to the common Vandermonde denominator and
-    divided out exactly."""
+    """Jozefiak-Pragacz route: the sum over (sigma, tau) in S_k x S_l of
+    sign(sigma) sign(tau) f_lam(X_sigma; Y_tau) times the staircase
+    monomials of the permuted alphabets X_sigma and Y_tau, divided exactly
+    by the Vandermonde products of X and Y.  X and Y must be disjoint sets
+    of plain variables.
+    """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
     table = X.table
@@ -316,23 +324,16 @@ def hook_schur_jp(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     ynames = _plain_names(Y)
     if set(xnames) & set(ynames):
         raise ValueError("X and Y must be disjoint variable sets")
-    k, ell = len(xnames), len(ynames)
-    f = f_lambda(lam, Hook(k, ell), X, Y)
+    h = Hook(len(X), len(Y))
     numerator = LaurentPoly.zero(table)
-    for sigma in permutations(range(k)):
-        for tau in permutations(range(ell)):
-            images = {xnames[i]: LaurentPoly.variable(table, xnames[sigma[i]])
-                      for i in range(k)}
-            images.update({ynames[j]: LaurentPoly.variable(table, ynames[tau[j]])
-                           for j in range(ell)})
-            term = f.substitute(images)
-            weight = [0] * len(table)
-            for i in range(k):
-                weight[table.index(xnames[sigma[i]])] = k - 1 - i
-            for j in range(ell):
-                weight[table.index(ynames[tau[j]])] = ell - 1 - j
-            term = term * LaurentPoly.monomial(table, _sign(sigma) * _sign(tau),
-                                               tuple(weight))
+    for sigma in permutations(range(h.k)):
+        for tau in permutations(range(h.l)):
+            Xs = Alphabet(table, [X.monos[i] for i in sigma])
+            Ys = Alphabet(table, [Y.monos[j] for j in tau])
+            term = f_lambda(lam, h, Xs, Ys) * (_sign(sigma) * _sign(tau))
+            for A in (Xs, Ys):
+                for i in range(len(A)):
+                    term = term * A.entry(i) ** (len(A) - 1 - i)
             numerator = numerator + term
     vandermonde = LaurentPoly.const(table, 1)
     for names in (xnames, ynames):

@@ -298,41 +298,6 @@ class LaurentPoly:
 
     # -- structural operations ---------------------------------------
 
-    def substitute(self, images: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
-        """Map each named variable to a signed unit monomial; exact image.
-
-        Variables absent from `images` are left alone.  Images must live
-        over the same table and be single monomials with coefficient +-1.
-        """
-        monos = {}
-        for name, img in images.items():
-            self._check(img)
-            c, e = img.single_term()
-            if c not in (1, -1):
-                raise ValueError(f"image of {name} is not a signed unit monomial")
-            monos[self.table.index(name)] = (c, e)
-        n = len(self.table)
-        out: dict[tuple, int] = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * n
-            sign = 1
-            for i, a in enumerate(exps):
-                if i in monos:
-                    c, e = monos[i]
-                    if a % 2 and c == -1:
-                        sign = -sign
-                    for j, ej in enumerate(e):
-                        new[j] += a * ej
-                else:
-                    new[i] += a
-            key = tuple(new)
-            s = out.get(key, 0) + sign * coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return LaurentPoly(self.table, out)
-
     def invert_variables(self) -> "LaurentPoly":
         """f(x1,...,xn) -> f(x1^-1,...,xn^-1)."""
         twice_zero = 2 * self.table.zero_key

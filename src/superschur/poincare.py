@@ -42,16 +42,15 @@ def series_table(n: int, m: int) -> VarTable:
 
 
 def _multiplicity(mode: str, lam: Partition, h: Hook, route: str) -> int:
+    # p_series has checked mode and route against MODES and ROUTES
     if mode == "plain":
         return m_lambda(lam, h)
     if mode == "bar":
         return m_bar_lambda(lam, h)
     if mode == "prime":
         return m_prime_residue(lam, h) if route == "residue" else m_prime_char(lam, h)
-    if mode == "bar_prime":
-        return m_bar_prime_residue(lam, h) if route == "residue" \
-            else m_bar_prime_char(lam, h)
-    raise ValueError(f"unknown mode {mode!r}")
+    return m_bar_prime_residue(lam, h) if route == "residue" \
+        else m_bar_prime_char(lam, h)
 
 
 def p_series(mode: str, h, n: int, m: int, D: int,
@@ -62,10 +61,14 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     the sweep is restricted to them.  All sums are finite and exact.
     """
     h = as_hook(h)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if n + m < 1:
         raise ValueError("need at least one series variable")
     if D < 0:
-        raise ValueError("truncation degree must be nonnegative")
+        raise ValueError(f"truncation degree must be nonnegative, got {D}")
     table = series_table(n, m)
     T = Alphabet.symbols(table, table.names[:n])
     U = Alphabet.symbols(table, table.names[n:])
@@ -132,6 +135,8 @@ def check_derivative_relation(h, n: int, D: int, primed: bool,
     linear in the last variable, with that variable divided out, must equal
     the concomitant series in n variables through total degree D-1."""
     h = as_hook(h)
+    if D < 1:
+        raise ValueError(f"derivative check needs degree >= 1, got {D}")
     big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route=route)
     small_table = series_table(n, 0)
     last = n  # index of t_{n+1} in the big table

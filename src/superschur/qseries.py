@@ -33,13 +33,6 @@ class TruncatedSeries:
     def one(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, order, (1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, var: str, order: int, degree: int, coeff: int = 1) -> "TruncatedSeries":
-        c = [0] * (order + 1)
-        if 0 <= degree <= order:
-            c[degree] = coeff
-        return cls(var, order, tuple(c))
-
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
@@ -109,6 +102,8 @@ def _apply_factor(series: TruncatedSeries, factor: Factor) -> TruncatedSeries:
 def expand_product(factors: Sequence[Factor], shift: int, D: int,
                    var: str = "u") -> TruncatedSeries:
     """u^shift * prod (1 + sign*u^a)^power through degree D."""
+    if D < 0:
+        raise ValueError(f"truncation degree must be nonnegative, got {D}")
     series = TruncatedSeries.one(var, D)
     for factor in factors:
         series = _apply_factor(series, factor)

@@ -119,12 +119,18 @@ def test_verify_qidentities_passes():
     assert json.loads(text)["summary"]["failures"] == 0
 
 
-def test_bad_usage_exits_2():
+def test_bad_usage_exits_2(capsys):
     assert main(["mprime", "--lambda", "2"]) == 2  # missing --hook
     assert main(["nonsense"]) == 2
     assert main(["series", "--mode", "prime", "--hook", "1,1",
                  "--n", "0", "--m", "0"]) == 2  # no series variables
     assert main(["verify", "budzik", "--format", "csv"]) == 2  # text or json only
+    # a degree out of range is named in the message, as the user gave it
+    capsys.readouterr()
+    assert main(["verify", "lemmas", "--max-size", "1", "--degree", "0"]) == 2
+    assert "degree >= 1, got 0" in capsys.readouterr().err
+    assert main(["verify", "qidentities", "--degree", "-1"]) == 2
+    assert "nonnegative, got -1" in capsys.readouterr().err
 
 
 def test_parser_builds():

@@ -2,9 +2,9 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from superschur.hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
-                                  hook_schur_factorized, hook_schur_jp,
-                                  schur_by_tableaux, schur_eval,
+from superschur.hookschur import (_HOM_CACHE, Alphabet, hook_schur_def,
+                                  hook_schur_eval, hook_schur_factorized,
+                                  hook_schur_jp, schur_by_tableaux, schur_eval,
                                   skew_schur_by_tableaux, skew_schur_eval,
                                   sub_partitions, super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
@@ -154,12 +154,28 @@ def test_super_hom_sequence_on_signed_alphabets():
             total = total + term
         return total
 
-    hs = super_hom_sequence(X, Y, 6)
-    assert len(hs) == 7
+    expected = []
     for r in range(7):
-        expected = LaurentPoly.zero(t)
-        for i in range(r + 1):
-            expected = expected + (
-                sum_of_products(X, combinations_with_replacement, i)
-                * sum_of_products(Y, combinations, r - i))
-        assert hs[r] == expected
+        expected.append(sum(
+            (sum_of_products(X, combinations_with_replacement, i)
+             * sum_of_products(Y, combinations, r - i) for i in range(r + 1)),
+            LaurentPoly.zero(t)))
+    # the memo entry for (X, Y) grows and is sliced; no answer may depend
+    # on what earlier calls left in it
+    _HOM_CACHE.pop((X, Y), None)
+    for upto in (2, 6, 4):
+        hs = super_hom_sequence(X, Y, upto)
+        assert len(hs) == upto + 1
+        assert hs == expected[:upto + 1]
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([(1, (1, 0, 0)), (1, (1, 0, 0))], [(1, (0, 0, 1))]),  # repeated variable
+    ([(1, (1, 0, 0))], [(1, (1, 0, 0))]),                  # X and Y overlap
+    ([(-1, (1, 0, 0))], [(1, (0, 0, 1))]),                 # sign -1
+    ([(1, (1, 1, 0))], [(1, (0, 0, 1))]),                  # product x1*x2
+    ([(1, (-1, 0, 0))], [(1, (0, 0, 1))]),                 # inverse x1^-1
+])
+def test_jp_rejects_non_plain_or_shared_variables(xs, ys):
+    with pytest.raises(ValueError):
+        hook_schur_jp((1,), Alphabet(T21, xs), Alphabet(T21, ys))

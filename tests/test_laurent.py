@@ -45,22 +45,6 @@ def test_degree_range():
         LaurentPoly.zero(TABLE2).degree_range("x")
 
 
-def test_substitute_examples():
-    t = VarTable(["x1", "x2", "x", "y"])
-    x1, x2 = (LaurentPoly.variable(t, v) for v in ("x1", "x2"))
-    img = {"x1": LaurentPoly.monomial(t, 1, (0, 0, 1, -1)),
-           "x2": LaurentPoly.monomial(t, 1, (0, 0, -1, 1))}
-    assert (x1 + x2).substitute(img) == (LaurentPoly.monomial(t, 1, (0, 0, 1, -1))
-                                         + LaurentPoly.monomial(t, 1, (0, 0, -1, 1)))
-    f = x1 + 3 * x2
-    assert f.substitute({"x1": x1, "x2": x2}) == f
-    # sign squares away
-    neg = {"x1": LaurentPoly.monomial(t, -1, (0, 0, -1, 1))}
-    assert (x1 ** 2).substitute(neg) == LaurentPoly.monomial(t, 1, (0, 0, -2, 2))
-    with pytest.raises(ValueError):
-        f.substitute({"x1": x1 + x2})
-
-
 @given(laurent_polys(), laurent_polys(), laurent_polys())
 @settings(max_examples=50)
 def test_ring_laws(f, g, h):
@@ -75,14 +59,6 @@ def test_constant_term_convolution(f, g):
     expected = sum(c * g.coefficient(tuple(-a for a in e))
                    for e, c in f.terms.items())
     assert (f * g).coefficient((0, 0)) == expected
-
-
-@given(laurent_polys(), laurent_polys())
-@settings(max_examples=50)
-def test_substitute_distributes_over_multiply(f, g):
-    img = {"x": LaurentPoly.monomial(TABLE2, -1, (0, 1)),
-           "y": LaurentPoly.monomial(TABLE2, 1, (1, 1))}
-    assert (f * g).substitute(img) == f.substitute(img) * g.substitute(img)
 
 
 @given(laurent_polys(), laurent_polys())

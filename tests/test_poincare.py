@@ -79,6 +79,11 @@ def test_p_series_rejects_bad_arguments():
         p_series("prime", (1, 1), 1, 0, -1)
     with pytest.raises(ValueError):
         p_series("mystery", (1, 1), 1, 0, 4)
+    # a misspelt route must not fall through to the character route
+    with pytest.raises(ValueError, match="'Residue'.*'residue', 'char'"):
+        p_series("prime", (1, 1), 1, 0, 3, route="Residue")
+    with pytest.raises(ValueError, match="'typo'"):
+        check_derivative_relation((1, 1), 1, 3, True, route="typo")
 
 
 def test_univariate_coefficients_rejects_multivariate():
