@@ -1,11 +1,16 @@
 """Symmetric-group characters, Kronecker coefficients, and the tensor
 multiplicities summed over a hook.
 
-Character values come from recursive border-strip removal (beta-number
-form), memoized in process.  A hook multiplicity is one inner product of
-class functions: m_lam(h) = (1/n!) sum_rho chi^lam(rho) w_h(rho), with the
-weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2 computed
-once per (n, h) (Macdonald, Symmetric Functions and Hall Polynomials, I.7).
+Characters are built a whole column at a time by the Murnaghan–Nakayama
+rule read in the adding direction: p_rho = sum_lam chi^lam(rho) s_lam,
+multiplying in one p_r at a time, and p_r s_mu adds every border strip of
+size r to mu with sign (-1)^(height - 1) (Macdonald, Symmetric Functions
+and Hall Polynomials, I.7).  A column is a dict {beta-set bitmask of lam:
+chi^lam(rho)} of the nonzero values; the column of rho extends that of
+rho minus its last part, so one memo serves every n.  A hook multiplicity
+is one inner product of class functions: m_lam(h) = (1/n!) sum_rho
+chi^lam(rho) w_h(rho), with the weight w_h(rho) = |C_rho| sum_{mu in h,
+|mu| = n} chi^mu(rho)^2 computed once per (n, h).
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ from .partitions import (Hook, Partition, add_box_successors, as_hook,
 
 
 class _Memo:
-    """In-process memo of character values and Kronecker coefficients.
+    """In-process memo of character columns and Kronecker coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
 
     def __init__(self):
-        self.chi: dict[tuple, int] = {}
+        self.chi: dict[tuple, dict[int, int]] = {}
         self.kron: dict[tuple, int] = {}
+        self.masks: dict[int, int] = {}
 
 
 _MEMO = _Memo()
@@ -36,45 +42,56 @@ def default_cache() -> _Memo:
     return _MEMO
 
 
-def _beta_set(lam: Partition) -> tuple:
-    length = len(lam)
-    return tuple(sorted(lam[i] + length - 1 - i for i in range(length)))
+def _mask(lam: Partition) -> int:
+    """Beta-set of lam with |lam| beads, as a bitmask: bead i sits at
+    lam_i + |lam| - i for i = 1..|lam|, the missing parts read as 0."""
+    n = sum(lam)
+    parts = [p for p in lam if p]
+    mask = (1 << (n - len(parts))) - 1
+    for i, p in enumerate(parts):
+        mask |= 1 << (p + n - 1 - i)
+    return mask
 
 
-def _partition_from_beta(beta: tuple) -> Partition:
-    beta = sorted(beta)
-    lam = [b - i for i, b in enumerate(beta)]
-    return tuple(p for p in reversed(lam) if p > 0)
+def _column(rho: Partition) -> dict[int, int]:
+    """{_mask(lam): chi^lam(rho)} over the lam with a nonzero value."""
+    col = _MEMO.chi.get(rho)
+    if col is None:
+        col = _add_strips(_column(rho[:-1]), rho[-1]) if rho else {0: 1}
+        _MEMO.chi[rho] = col
+    return col
+
+
+def _add_strips(prev: dict[int, int], r: int) -> dict[int, int]:
+    # r more low beads keep the bead count equal to the size; moving a bead
+    # from b to an empty b + r adds an r-strip whose height is one more
+    # than the number of beads strictly between
+    low = (1 << r) - 1
+    between = low >> 1
+    col: dict[int, int] = {}
+    for mask, c in prev.items():
+        mask = (mask << r) | low
+        movable = mask & ~(mask >> r)  # beads b with b + r empty
+        while movable:
+            bit = movable & -movable
+            movable ^= bit
+            key = mask ^ bit ^ (bit << r)
+            jumped = ((mask >> bit.bit_length()) & between).bit_count()
+            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
+    # store each mask once across all columns: an int past 2**30 takes 32
+    # bytes, and after a sweep to n = 22 each mask sits in some 350 columns
+    keys = _MEMO.masks
+    return {keys.setdefault(key, key): c for key, c in col.items() if c}
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
-    """chi^lam evaluated at the class of cycle type rho, exactly."""
+    """chi^lam evaluated at the class of cycle type rho, exactly: one
+    lookup in the memoised column of rho.  Zero parts of lam or rho are
+    ignored."""
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
-    return _mn(tuple(lam), tuple(rho))
-
-
-def _mn(lam: Partition, rho: Partition) -> int:
-    if not rho:
-        return 1
-    key = (lam, rho)
-    hit = _MEMO.chi.get(key)
-    if hit is not None:
-        return hit
-    r = rho[0]
-    rest = rho[1:]
-    beta = _beta_set(lam)
-    beta_lookup = set(beta)
-    total = 0
-    for b in beta:
-        target = b - r
-        if target < 0 or target in beta_lookup:
-            continue
-        jumped = sum(1 for x in beta if target < x < b)
-        new_beta = tuple(target if x == b else x for x in beta)
-        total += (-1) ** jumped * _mn(_partition_from_beta(new_beta), rest)
-    _MEMO.chi[key] = total
-    return total
+    cycles = tuple(sorted((r for r in rho if r), reverse=True))
+    return _column(cycles).get(_mask(lam), 0)
 
 
 def class_size(rho: Partition) -> int:
@@ -103,9 +120,12 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     hit = _MEMO.kron.get(key)
     if hit is not None:
         return hit
+    masks = (_mask(lam), _mask(mu), _mask(nu))
     total = 0
     for rho in partitions_of(n):
-        total += class_size(rho) * _mn(lam, rho) * _mn(mu, rho) * _mn(nu, rho)
+        col = _column(rho)
+        a, b, c = (col.get(m, 0) for m in masks)
+        total += class_size(rho) * a * b * c
     g = _divide_by_group_order(total, n, "a Kronecker coefficient")
     _MEMO.kron[key] = g
     return g
@@ -113,13 +133,15 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 @lru_cache(maxsize=None)
 def _hook_weights(n: int, h: Hook) -> tuple:
-    """Pairs (rho, w_h(rho)) over the classes of S_n with a nonzero weight."""
-    hook = enumerate_partitions(n, in_hook=h)
+    """Pairs (column of rho, w_h(rho)) over the classes of S_n with a
+    nonzero weight."""
+    masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
     pairs = []
     for rho in partitions_of(n):
-        w = sum(_mn(mu, rho) ** 2 for mu in hook)
+        col = _column(rho)
+        w = sum(col.get(m, 0) ** 2 for m in masks)
         if w:
-            pairs.append((rho, class_size(rho) * w))
+            pairs.append((col, class_size(rho) * w))
     return tuple(pairs)
 
 
@@ -130,7 +152,8 @@ def m_lambda(lam: Partition, h) -> int:
     n = sum(lam)
     if n == 0:
         return 1
-    total = sum(_mn(lam, rho) * w for rho, w in _hook_weights(n, h))
+    mask = _mask(lam)
+    total = sum(col.get(mask, 0) * w for col, w in _hook_weights(n, h))
     return _divide_by_group_order(total, n, "a hook multiplicity")
 
 

@@ -27,6 +27,15 @@ def _parse_hooks(text: str) -> list[Hook]:
     return [_parse_hook(chunk) for chunk in text.replace(";", " ").split()]
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superschur",
@@ -65,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("verify_what", choices=["budzik", "lemmas", "qidentities"])
-    p.add_argument("--max-size", type=int, default=4)
+    p.add_argument("--max-size", type=_at_least(0), default=4)
     p.add_argument("--hooks", type=_parse_hooks, default=[Hook(1, 1)])
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--max-kl", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-kl", type=_at_least(0), default=3)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     add_common(p, formats=("text", "json"))
 
     return parser

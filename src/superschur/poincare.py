@@ -65,6 +65,9 @@ def p_series(mode: str, h, n: int, m: int, D: int,
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    if n < 0 or m < 0:
+        raise ValueError("series variable counts must be nonnegative, "
+                         f"got n={n}, m={m}")
     if n + m < 1:
         raise ValueError("need at least one series variable")
     if D < 0:

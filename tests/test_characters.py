@@ -3,8 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from superschur.characters import (class_size, dimension, kronecker,
-                                   m_bar_lambda, m_lambda, mn_character)
+from superschur.characters import (_hook_weights, class_size, default_cache,
+                                   dimension, kronecker, m_bar_lambda, m_lambda,
+                                   mn_character)
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 
@@ -29,6 +30,69 @@ def test_character_table_s4_spot_checks():
     assert mn_character((2, 2), (4,)) == 0
     assert mn_character((3, 1), (4,)) == -1
     assert mn_character((2, 1, 1), (2, 2)) == -1
+    # padding zeros and the order of the cycle lengths do not matter
+    assert mn_character((2, 2, 0), (3, 1, 0)) == -1
+    assert mn_character((3, 1), (1, 2, 1)) == 1
+    assert mn_character((2,), (2, 0)) == 1
+
+
+def _beta_set(lam):
+    length = len(lam)
+    return tuple(sorted(lam[i] + length - 1 - i for i in range(length)))
+
+
+def _partition_from_beta(beta):
+    beta = sorted(beta)
+    lam = [b - i for i, b in enumerate(beta)]
+    return tuple(p for p in reversed(lam) if p > 0)
+
+
+def _mn(lam, rho):
+    # border-strip removal on beta-sets: an oracle independent of the
+    # column tables, which add strips instead
+    if not rho:
+        return 1
+    r = rho[0]
+    rest = rho[1:]
+    beta = _beta_set(lam)
+    beta_lookup = set(beta)
+    total = 0
+    for b in beta:
+        target = b - r
+        if target < 0 or target in beta_lookup:
+            continue
+        jumped = sum(1 for x in beta if target < x < b)
+        new_beta = tuple(target if x == b else x for x in beta)
+        total += (-1) ** jumped * _mn(_partition_from_beta(new_beta), rest)
+    return total
+
+
+def test_character_matches_removal_oracle():
+    for n in range(11):
+        parts = enumerate_partitions(n)
+        for rho in parts:
+            for lam in parts:
+                assert mn_character(lam, rho) == _mn(lam, rho), (lam, rho)
+
+
+def test_values_independent_of_column_order():
+    # the class rho8 of S_8 is a prefix of the class rho12 of S_12, so
+    # whichever column is built first lends its prefixes to the other;
+    # the values must not depend on which that is
+    rho12, rho8 = (3, 2, 2, 1, 1, 1, 1, 1), (3, 2, 2, 1)
+    lams = [lam for n in (8, 12) for lam in enumerate_partitions(n)]
+
+    def values(order):
+        default_cache().chi.clear()
+        _hook_weights.cache_clear()
+        for rho in order:
+            mn_character((sum(rho),), rho)
+        chars = [mn_character(lam, rho12 if sum(lam) == 12 else rho8)
+                 for lam in lams]
+        mults = [m_lambda(lam, (2, 1)) for lam in lams]
+        return chars, mults
+
+    assert values([rho12, rho8]) == values([rho8, rho12])
 
 
 def test_character_size_mismatch_rejected():

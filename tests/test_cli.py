@@ -131,6 +131,16 @@ def test_bad_usage_exits_2(capsys):
     assert "degree >= 1, got 0" in capsys.readouterr().err
     assert main(["verify", "qidentities", "--degree", "-1"]) == 2
     assert "nonnegative, got -1" in capsys.readouterr().err
+    # worker and size counts out of range are rejected, not run serially
+    # or over no cases
+    for what, flag, value, message in (
+            ("budzik", "--jobs", "0", "at least 1, got 0"),
+            ("budzik", "--jobs", "-3", "at least 1, got -3"),
+            ("budzik", "--max-size", "-1", "at least 0, got -1"),
+            ("qidentities", "--max-kl", "-1", "at least 0, got -1")):
+        assert main(["verify", what, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and message in err
 
 
 def test_parser_builds():

@@ -84,6 +84,11 @@ def test_p_series_rejects_bad_arguments():
         p_series("prime", (1, 1), 1, 0, 3, route="Residue")
     with pytest.raises(ValueError, match="'typo'"):
         check_derivative_relation((1, 1), 1, 3, True, route="typo")
+    # a negative variable count is named as given, not as a shifted hook
+    with pytest.raises(ValueError, match="nonnegative, got n=-1, m=3"):
+        p_series("plain", (1, 1), -1, 3, 4)
+    with pytest.raises(ValueError, match="nonnegative, got n=3, m=-2"):
+        p_series("plain", (1, 1), 3, -2, 4)
 
 
 def test_univariate_coefficients_rejects_multivariate():
