@@ -12,12 +12,12 @@ from .partitions import (Hook, HookClass, Partition, add_box_successors,
                          format_partition, in_hook, is_self_conjugate,
                          is_typical, parse_partition, square_split,
                          typical_split)
-from .poincare import (budzik_suite, check_derivative_relation,
-                       m_bar_prime_char, m_prime_char, p_series,
-                       univariate_coefficients, verify_budzik)
+from .poincare import (budzik_suite, check_derivative_relation, lemmas_suite,
+                       multiplicity, p_series, univariate_coefficients,
+                       verify_budzik)
 from .qseries import (TruncatedSeries, check_limit_identity,
                       closed_form_series, expand_product, gf_partitions,
-                      u2_factorial_factors)
+                      qidentities_suite, u2_factorial_factors)
 from .residue import (constant_term_with_delta, delta_numerator, inner_product,
                       m_bar_prime_residue, m_prime_residue, residue_table,
                       z_alphabets)

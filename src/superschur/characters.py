@@ -15,7 +15,6 @@ chi^lam(rho) w_h(rho), with the weight w_h(rho) = |C_rho| sum_{mu in h,
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 
 from .laurent import InexactError
@@ -24,7 +23,8 @@ from .partitions import (Hook, Partition, add_box_successors, as_hook,
 
 
 class _Memo:
-    """In-process memo of character columns and Kronecker coefficients.
+    """In-process memo of character columns, hook weights and Kronecker
+    coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -33,6 +33,7 @@ class _Memo:
         self.chi: dict[tuple, dict[int, int]] = {}
         self.kron: dict[tuple, int] = {}
         self.masks: dict[int, int] = {}
+        self.weights: dict[tuple, tuple] = {}
 
 
 _MEMO = _Memo()
@@ -131,10 +132,12 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return g
 
 
-@lru_cache(maxsize=None)
 def _hook_weights(n: int, h: Hook) -> tuple:
     """Pairs (column of rho, w_h(rho)) over the classes of S_n with a
     nonzero weight."""
+    hit = _MEMO.weights.get((n, h))
+    if hit is not None:
+        return hit
     masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
     pairs = []
     for rho in partitions_of(n):
@@ -142,7 +145,8 @@ def _hook_weights(n: int, h: Hook) -> tuple:
         w = sum(col.get(m, 0) ** 2 for m in masks)
         if w:
             pairs.append((col, class_size(rho) * w))
-    return tuple(pairs)
+    _MEMO.weights[n, h] = tuple(pairs)
+    return _MEMO.weights[n, h]
 
 
 def m_lambda(lam: Partition, h) -> int:

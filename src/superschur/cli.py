@@ -8,12 +8,10 @@ import json
 import signal
 import sys
 
-from .characters import m_bar_lambda, m_lambda
 from .partitions import Hook, parse_partition
-from .poincare import (budzik_suite, check_derivative_relation, m_bar_prime_char,
-                       m_prime_char, p_series, univariate_coefficients)
-from .qseries import check_limit_identity, closed_form_series, gf_partitions
-from .residue import m_bar_prime_residue, m_prime_residue
+from .poincare import (budzik_suite, lemmas_suite, multiplicity, p_series,
+                       univariate_coefficients)
+from .qseries import qidentities_suite
 
 
 def _parse_hook(text: str) -> Hook:
@@ -51,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hook", required=True, type=_parse_hook)
     p.add_argument("--bar", action="store_true",
                    help="concomitant variant (restricted one level down)")
+    p.set_defaults(route="residue")  # a character sum on either route
     add_common(p)
 
     p = sub.add_parser("mprime", help="multiplicity jump against the next smaller hook")
@@ -72,34 +71,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the series termwise in graded-lex order")
     add_common(p)
 
+    # each suite declares only the flags it reads, so any other exits 2
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("verify_what", choices=["budzik", "lemmas", "qidentities"])
+    suites = p.add_subparsers(dest="suite", required=True)
+    p = suites.add_parser("budzik", help="jump by residue against characters")
     p.add_argument("--max-size", type=_at_least(0), default=4)
     p.add_argument("--hooks", type=_parse_hooks, default=[Hook(1, 1)])
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--max-kl", type=_at_least(0), default=3)
     p.add_argument("--jobs", type=_at_least(1), default=1)
+    add_common(p, formats=("text", "json"))
+
+    p = suites.add_parser("lemmas", help="bar jumps and derivative slices")
+    p.add_argument("--max-size", type=_at_least(0), default=4)
+    p.add_argument("--hooks", type=_parse_hooks, default=[Hook(1, 1)])
+    p.add_argument("--degree", type=int, default=4)
+    add_common(p, formats=("text", "json"))
+
+    p = suites.add_parser("qidentities",
+                          help="limit identities and one-variable closed forms")
+    p.add_argument("--degree", type=int, default=20)
+    p.add_argument("--max-kl", type=_at_least(0), default=3)
     add_common(p, formats=("text", "json"))
 
     return parser
 
 
-def _emit_value(value: int, fmt: str, out) -> None:
-    print(json.dumps(value) if fmt == "json" else value, file=out)
-
-
-def _run_mlambda(args, out) -> int:
-    fn = m_bar_lambda if args.bar else m_lambda
-    _emit_value(fn(args.lam, args.hook), args.fmt, out)
-    return 0
-
-
-def _run_mprime(args, out) -> int:
-    if args.route == "residue":
-        fn = m_bar_prime_residue if args.bar else m_prime_residue
+def _run_value(args, out) -> int:
+    if args.subcommand == "mlambda":
+        mode = "bar" if args.bar else "plain"
     else:
-        fn = m_bar_prime_char if args.bar else m_prime_char
-    _emit_value(fn(args.lam, args.hook), args.fmt, out)
+        mode = "bar_prime" if args.bar else "prime"
+    value = multiplicity(mode, args.lam, args.hook, route=args.route)
+    print(json.dumps(value) if args.fmt == "json" else value, file=out)
     return 0
 
 
@@ -150,53 +152,13 @@ def _emit_reports(name: str, reports: list[dict], fmt: str, out) -> int:
 
 
 def _run_verify(args, out) -> int:
-    if args.verify_what == "budzik":
+    if args.suite == "budzik":
         reports = budzik_suite(args.max_size, args.hooks, jobs=args.jobs)
-        return _emit_reports("budzik", reports, args.fmt, out)
-
-    if args.verify_what == "lemmas":
-        degree = args.degree if args.degree is not None else 4
-        reports = []
-        from .partitions import enumerate_partitions
-        for h in args.hooks:
-            for d in range(args.max_size + 1):
-                for lam in enumerate_partitions(d):
-                    lhs = m_bar_prime_residue(lam, h)
-                    rhs = m_bar_prime_char(lam, h)
-                    reports.append({"check": "bar_jump", "lambda": list(lam),
-                                    "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
-                                    "pass": lhs == rhs})
-            for primed in (False, True):
-                ok, rep = check_derivative_relation(h, 1, degree, primed)
-                reports.append({"check": "derivative", **rep})
-        return _emit_reports("lemmas", reports, args.fmt, out)
-
-    # qidentities
-    degree = args.degree if args.degree is not None else 20
-    reports = []
-    for which, n in (("selfconjugate_sum", None), ("shifted_sum", 1)):
-        ok, rep = check_limit_identity(which, degree, n=n)
-        reports.append({"check": "limit_identity", "which": which, "n": n,
-                        "degree": degree, "pass": ok,
-                        "first_discrepancy": rep["first_discrepancy"]})
-    for k in range(args.max_kl + 1):
-        for ell in range(args.max_kl + 1):
-            if k + ell == 0:
-                continue
-            closed = closed_form_series("traces_n1", (k, ell), 12)
-            direct = gf_partitions(12, typical=(k, ell), var="t")
-            reports.append({"check": "traces_closed_form", "k": k, "l": ell,
-                            "pass": closed.coeffs == direct.coeffs})
-            if k >= ell:
-                closed = closed_form_series("supertraces_01", (k, ell), 12)
-                big = gf_partitions(12, in_hook=(k, ell), self_conjugate=True)
-                from .qseries import TruncatedSeries
-                small = (gf_partitions(12, in_hook=(k - 1, ell - 1), self_conjugate=True)
-                         if min(k, ell) >= 1 else TruncatedSeries.zero("u", 12))
-                diff = big - small
-                reports.append({"check": "supertraces_closed_form", "k": k, "l": ell,
-                                "pass": closed.coeffs == diff.coeffs})
-    return _emit_reports("qidentities", reports, args.fmt, out)
+    elif args.suite == "lemmas":
+        reports = lemmas_suite(args.max_size, args.hooks, args.degree)
+    else:
+        reports = qidentities_suite(args.degree, args.max_kl)
+    return _emit_reports(args.suite, reports, args.fmt, out)
 
 
 def main(argv=None, out=None) -> int:
@@ -207,10 +169,8 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.subcommand == "mlambda":
-            code = _run_mlambda(args, out)
-        elif args.subcommand == "mprime":
-            code = _run_mprime(args, out)
+        if args.subcommand in ("mlambda", "mprime"):
+            code = _run_value(args, out)
         elif args.subcommand == "series":
             code = _run_series(args, out)
         else:

@@ -6,8 +6,6 @@ the invariant and concomitant series.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .characters import m_bar_lambda, m_lambda
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable
@@ -18,39 +16,38 @@ MODES = ("plain", "prime", "bar", "bar_prime")
 ROUTES = ("residue", "char")
 
 
-def m_prime_char(lam: Partition, h) -> int:
-    """Character route for the jump: m(k,l) - m(k-1,l-1); the subtrahend is
-    0 when no smaller hook exists."""
-    h = as_hook(h)
-    base = m_lambda(lam, h)
-    if min(h.k, h.l) == 0:
-        return base
-    return base - m_lambda(lam, h.shrink())
-
-
-def m_bar_prime_char(lam: Partition, h) -> int:
-    h = as_hook(h)
-    base = m_bar_lambda(lam, h)
-    if min(h.k, h.l) == 0:
-        return base
-    return base - m_bar_lambda(lam, h.shrink())
-
-
 def series_table(n: int, m: int) -> VarTable:
     return VarTable([f"t{i}" for i in range(1, n + 1)]
                     + [f"u{j}" for j in range(1, m + 1)])
 
 
-def _multiplicity(mode: str, lam: Partition, h: Hook, route: str) -> int:
-    # p_series has checked mode and route against MODES and ROUTES
-    if mode == "plain":
-        return m_lambda(lam, h)
-    if mode == "bar":
-        return m_bar_lambda(lam, h)
-    if mode == "prime":
-        return m_prime_residue(lam, h) if route == "residue" else m_prime_char(lam, h)
-    return m_bar_prime_residue(lam, h) if route == "residue" \
-        else m_bar_prime_char(lam, h)
+def _check_choice(mode: str, route: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+
+
+def multiplicity(mode: str, lam: Partition, h, route: str = "residue") -> int:
+    """The multiplicity of lam in the hook h that `mode` names.
+
+    `plain` and `bar` are m_lambda and m_bar_lambda, character sums on
+    either route.  The jumps `prime` and `bar_prime` against the next
+    smaller hook take the route: "residue" is the constant-term integral,
+    "char" the difference m(lam, h) - m(lam, h.shrink()) of those sums,
+    with the subtrahend 0 when no smaller hook exists (min(k, l) = 0).
+    """
+    _check_choice(mode, route)
+    h = as_hook(h)
+    m = m_bar_lambda if mode.startswith("bar") else m_lambda
+    if mode in ("plain", "bar"):
+        return m(lam, h)
+    if route == "residue":
+        return m_prime_residue(lam, h) if mode == "prime" \
+            else m_bar_prime_residue(lam, h)
+    if min(h.k, h.l) == 0:
+        return m(lam, h)
+    return m(lam, h) - m(lam, h.shrink())
 
 
 def p_series(mode: str, h, n: int, m: int, D: int,
@@ -61,10 +58,7 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     the sweep is restricted to them.  All sums are finite and exact.
     """
     h = as_hook(h)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if route not in ROUTES:
-        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    _check_choice(mode, route)
     if n < 0 or m < 0:
         raise ValueError("series variable counts must be nonnegative, "
                          f"got n={n}, m={m}")
@@ -78,7 +72,7 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     total = LaurentPoly.zero(table)
     for d in range(D + 1):
         for lam in enumerate_partitions(d, in_hook=(n, m)):
-            c = _multiplicity(mode, lam, h, route)
+            c = multiplicity(mode, lam, h, route)
             if c:
                 total = total + hook_schur_eval(lam, T, U) * c
     return total
@@ -95,10 +89,11 @@ def verify_budzik(lam: Partition, h) -> dict:
     """Residue vs character route for one (lam, hook), plus the diagonal
     summation identity for the same pair.  Failures are reported, not thrown."""
     h = as_hook(h)
-    lhs = m_prime_residue(lam, h)
-    rhs = m_prime_char(lam, h)
-    diag = sum(m_prime_residue(lam, Hook(h.k - i, h.l - i))
-               for i in range(min(h.k, h.l) + 1))
+    lhs = multiplicity("prime", lam, h)
+    rhs = multiplicity("prime", lam, h, route="char")
+    # the i = 0 term of the diagonal sum is lhs itself
+    diag = lhs + sum(multiplicity("prime", lam, Hook(h.k - i, h.l - i))
+                     for i in range(1, min(h.k, h.l) + 1))
     m_direct = m_lambda(lam, h)
     ok = (lhs == rhs) and (diag == m_direct)
     return {"lambda": list(lam), "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
@@ -127,9 +122,32 @@ def budzik_suite(max_size: int, hooks, jobs: int = 1) -> list[dict]:
     count, so output is deterministic."""
     cases = budzik_cases(max_size, hooks)
     if jobs > 1:
+        # imported only when pooling: it pulls in multiprocessing, which
+        # would otherwise add to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_budzik_worker, cases))
     return [_budzik_worker(c) for c in cases]
+
+
+def lemmas_suite(max_size: int, hooks, degree: int) -> list[dict]:
+    """Per hook: the bar jump by the residue route against the character
+    route for all |lam| <= max_size, then both derivative slices in one
+    variable through `degree`."""
+    reports = []
+    for h in hooks:
+        h = as_hook(h)
+        for d in range(max_size + 1):
+            for lam in enumerate_partitions(d):
+                lhs = multiplicity("bar_prime", lam, h)
+                rhs = multiplicity("bar_prime", lam, h, route="char")
+                reports.append({"check": "bar_jump", "lambda": list(lam),
+                                "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
+                                "pass": lhs == rhs})
+        for primed in (False, True):
+            _, rep = check_derivative_relation(h, 1, degree, primed)
+            reports.append({"check": "derivative", **rep})
+    return reports
 
 
 def check_derivative_relation(h, n: int, D: int, primed: bool,

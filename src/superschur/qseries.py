@@ -29,10 +29,6 @@ class TruncatedSeries:
     def zero(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, order, (0,) * (order + 1))
 
-    @classmethod
-    def one(cls, var: str, order: int) -> "TruncatedSeries":
-        return cls(var, order, (1,) + (0,) * order)
-
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
@@ -50,64 +46,35 @@ class TruncatedSeries:
         return TruncatedSeries(self.var, self.order,
                                tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries(self.var, self.order,
-                                   tuple(other * a for a in self.coeffs))
-        self._check(other)
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(self.var, self.order, tuple(out))
-
-    __rmul__ = __mul__
-
-    def shift(self, degree: int) -> "TruncatedSeries":
-        """Multiply by var^degree."""
-        out = [0] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if 0 <= i + degree <= self.order:
-                out[i + degree] = a
-        return TruncatedSeries(self.var, self.order, tuple(out))
-
     def __str__(self) -> str:
         return " + ".join(f"{c}*{self.var}^{i}" for i, c in enumerate(self.coeffs) if c) or "0"
 
 
-def _apply_factor(series: TruncatedSeries, factor: Factor) -> TruncatedSeries:
-    sign, a, power = factor
-    if sign not in (1, -1) or power not in (1, -1) or a < 0:
-        raise ValueError(f"bad factor {factor}")
-    D = series.order
-    if power == 1:
-        return series + (series.shift(a) * sign)
-    if a == 0:
-        raise ValueError("factor (1 +- u^0) is not invertible as a series")
-    # (1 + sign*u^a)^-1 = sum (-sign)^m u^(am)
-    inv = [0] * (D + 1)
-    s = 1
-    m = 0
-    while a * m <= D:
-        inv[a * m] = s
-        s *= -sign
-        m += 1
-    return series * TruncatedSeries(series.var, D, tuple(inv))
-
-
 def expand_product(factors: Sequence[Factor], shift: int, D: int,
                    var: str = "u") -> TruncatedSeries:
-    """u^shift * prod (1 + sign*u^a)^power through degree D."""
+    """u^shift * prod (1 + sign*u^a)^power through degree D, in place on one
+    coefficient list: a factor multiplies by c[i] += sign*c[i-a] for i
+    running down, and divides by c[i] -= sign*c[i-a] for i running up."""
     if D < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {D}")
-    series = TruncatedSeries.one(var, D)
+    if shift < 0:
+        raise ValueError(f"shift must be nonnegative, got {shift}")
+    c = [0] * (D + 1)
+    if shift <= D:
+        c[shift] = 1
     for factor in factors:
-        series = _apply_factor(series, factor)
-    return series.shift(shift)
+        sign, a, power = factor
+        if sign not in (1, -1) or power not in (1, -1) or a < 0:
+            raise ValueError(f"bad factor {factor}")
+        if power == 1:
+            for i in range(D, a - 1, -1):
+                c[i] += sign * c[i - a]
+        elif a == 0:
+            raise ValueError("factor (1 +- u^0) is not invertible as a series")
+        else:
+            for i in range(a, D + 1):
+                c[i] -= sign * c[i - a]
+    return TruncatedSeries(var, D, tuple(c))
 
 
 def u2_factorial_factors(j: int) -> list[Factor]:
@@ -185,3 +152,31 @@ def check_limit_identity(which: str, D: int, n: Optional[int] = None):
               "lhs": list(lhs.coeffs), "rhs": list(rhs.coeffs),
               "first_discrepancy": first_bad}
     return first_bad is None, report
+
+
+def qidentities_suite(degree: int, max_kl: int) -> list[dict]:
+    """Both limit identities through `degree`, then, for every hook with
+    k, l <= max_kl, each one-variable closed form against the partition
+    count it stands for, through degree 12."""
+    reports = []
+    for which, n in (("selfconjugate_sum", None), ("shifted_sum", 1)):
+        ok, rep = check_limit_identity(which, degree, n=n)
+        reports.append({"check": "limit_identity", "which": which, "n": n,
+                        "degree": degree, "pass": ok,
+                        "first_discrepancy": rep["first_discrepancy"]})
+    for k in range(max_kl + 1):
+        for ell in range(max_kl + 1):
+            if k + ell == 0:
+                continue
+            closed = closed_form_series("traces_n1", (k, ell), 12)
+            direct = gf_partitions(12, typical=(k, ell), var="t")
+            reports.append({"check": "traces_closed_form", "k": k, "l": ell,
+                            "pass": closed.coeffs == direct.coeffs})
+            if k >= ell:
+                closed = closed_form_series("supertraces_01", (k, ell), 12)
+                big = gf_partitions(12, in_hook=(k, ell), self_conjugate=True)
+                small = (gf_partitions(12, in_hook=(k - 1, ell - 1), self_conjugate=True)
+                         if min(k, ell) >= 1 else TruncatedSeries.zero("u", 12))
+                reports.append({"check": "supertraces_closed_form", "k": k, "l": ell,
+                                "pass": closed.coeffs == (big - small).coeffs})
+    return reports

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from superschur.characters import (_hook_weights, class_size, default_cache,
-                                   dimension, kronecker, m_bar_lambda, m_lambda,
+from superschur.characters import (class_size, default_cache, dimension,
+                                   kronecker, m_bar_lambda, m_lambda,
                                    mn_character)
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
@@ -75,6 +75,20 @@ def test_character_matches_removal_oracle():
                 assert mn_character(lam, rho) == _mn(lam, rho), (lam, rho)
 
 
+def _clear_default_cache():
+    for memo in vars(default_cache()).values():
+        memo.clear()
+
+
+def test_cleared_cache_is_cold():
+    # every memo lives in default_cache(): clearing it leaves no column
+    # pinned elsewhere, so the next call rebuilds the columns it reads
+    first = m_lambda((3, 1), (2, 1))
+    _clear_default_cache()
+    assert m_lambda((3, 1), (2, 1)) == first
+    assert default_cache().chi
+
+
 def test_values_independent_of_column_order():
     # the class rho8 of S_8 is a prefix of the class rho12 of S_12, so
     # whichever column is built first lends its prefixes to the other;
@@ -83,8 +97,7 @@ def test_values_independent_of_column_order():
     lams = [lam for n in (8, 12) for lam in enumerate_partitions(n)]
 
     def values(order):
-        default_cache().chi.clear()
-        _hook_weights.cache_clear()
+        _clear_default_cache()
         for rho in order:
             mn_character((sum(rho),), rho)
         chars = [mn_character(lam, rho12 if sum(lam) == 12 else rho8)

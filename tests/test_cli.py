@@ -141,6 +141,13 @@ def test_bad_usage_exits_2(capsys):
         assert main(["verify", what, flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and message in err
+    # a flag the suite does not read is refused, not silently ignored
+    for argv, flag in ((["budzik", "--degree", "9"], "--degree"),
+                       (["qidentities", "--hooks", "2,2", "--jobs", "4"], "--hooks"),
+                       (["qidentities", "--jobs", "4"], "--jobs"),
+                       (["lemmas", "--max-kl", "1"], "--max-kl")):
+        assert main(["verify", *argv]) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_parser_builds():

@@ -1,33 +1,84 @@
 import pytest
 
-from superschur.partitions import enumerate_partitions
-from superschur.poincare import (budzik_cases, budzik_suite,
-                                 check_derivative_relation, m_bar_prime_char,
-                                 m_prime_char, p_series, series_table,
+from superschur.characters import m_bar_lambda, m_lambda
+from superschur.partitions import Hook, enumerate_partitions
+from superschur.poincare import (MODES, ROUTES, budzik_cases, budzik_suite,
+                                 check_derivative_relation, lemmas_suite,
+                                 multiplicity, p_series, series_table,
                                  univariate_coefficients, verify_budzik)
 from superschur.qseries import closed_form_series
 from superschur.residue import m_bar_prime_residue, m_prime_residue
 
 
 def test_m_prime_char_examples():
-    assert m_prime_char((), (1, 1)) == 0
-    assert m_prime_char((1,), (1, 1)) == 1
-    assert m_prime_char((), (1, 0)) == 1
-    assert m_prime_char((2,), (1, 1)) == 2  # both size-2 shapes, none in H(0,0)
+    def jump(lam, h):
+        return multiplicity("prime", lam, h, route="char")
+    assert jump((), (1, 1)) == 0
+    assert jump((1,), (1, 1)) == 1
+    assert jump((), (1, 0)) == 1
+    assert jump((2,), (1, 1)) == 2  # both size-2 shapes, none in H(0,0)
 
 
 def test_routes_agree_on_jump():
     for h in [(1, 1), (2, 1), (1, 2)]:
         for n in range(5):
             for lam in enumerate_partitions(n):
-                assert m_prime_residue(lam, h) == m_prime_char(lam, h), (lam, h)
+                assert m_prime_residue(lam, h) == multiplicity(
+                    "prime", lam, h, route="char"), (lam, h)
 
 
 def test_routes_agree_on_bar_jump():
     for h in [(1, 1), (2, 1)]:
         for n in range(4):
             for lam in enumerate_partitions(n):
-                assert m_bar_prime_residue(lam, h) == m_bar_prime_char(lam, h)
+                assert m_bar_prime_residue(lam, h) == multiplicity(
+                    "bar_prime", lam, h, route="char")
+
+
+def _jump(m, lam, h):
+    # m(k, l) - m(k-1, l-1), the subtrahend 0 when no smaller hook exists
+    h = Hook(*h)
+    if min(h.k, h.l) == 0:
+        return m(lam, h)
+    return m(lam, h) - m(lam, Hook(h.k - 1, h.l - 1))
+
+
+def test_multiplicity_table():
+    oracle = {
+        ("plain", "residue"): m_lambda,
+        ("plain", "char"): m_lambda,
+        ("bar", "residue"): m_bar_lambda,
+        ("bar", "char"): m_bar_lambda,
+        ("prime", "residue"): m_prime_residue,
+        ("prime", "char"): lambda lam, h: _jump(m_lambda, lam, h),
+        ("bar_prime", "residue"): m_bar_prime_residue,
+        ("bar_prime", "char"): lambda lam, h: _jump(m_bar_lambda, lam, h),
+    }
+    assert set(oracle) == {(mode, route) for mode in MODES for route in ROUTES}
+    for h in [(1, 0), (0, 2), (1, 1), (2, 1), (2, 2)]:
+        for n in range(6):
+            for lam in enumerate_partitions(n):
+                for (mode, route), want in oracle.items():
+                    got = multiplicity(mode, lam, h, route=route)
+                    assert got == want(lam, h), (mode, route, lam, h)
+
+
+def test_multiplicity_rejects_bad_choice():
+    with pytest.raises(ValueError, match="'jump'.*'plain', 'prime'"):
+        multiplicity("jump", (1,), (1, 1))
+    with pytest.raises(ValueError, match="'Char'.*'residue', 'char'"):
+        multiplicity("prime", (1,), (1, 1), route="Char")
+    # plain and bar read no route, but a bad one is still refused
+    with pytest.raises(ValueError, match="'typo'"):
+        multiplicity("plain", (1,), (1, 1), route="typo")
+
+
+def test_lemmas_suite_rows():
+    rows = lemmas_suite(2, [(1, 1)], 3)
+    jumps = [r for r in rows if r["check"] == "bar_jump"]
+    assert [r["lambda"] for r in jumps] == [[], [1], [2], [1, 1]]
+    assert [r["check"] for r in rows[len(jumps):]] == ["derivative"] * 2
+    assert all(r["pass"] for r in rows)
 
 
 def test_verify_budzik_report_shape():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from superschur.qseries import (TruncatedSeries, check_limit_identity,
                                 closed_form_series, expand_product,
-                                gf_partitions, u2_factorial_factors)
+                                gf_partitions, qidentities_suite,
+                                u2_factorial_factors)
 
 
 def test_series_arithmetic():
@@ -10,10 +13,9 @@ def test_series_arithmetic():
     b = TruncatedSeries("u", 3, (0, 1, 1, 0))
     assert (a + b).coeffs == (1, 3, 1, 1)
     assert (a - b).coeffs == (1, 1, -1, 1)
-    assert (a * b).coeffs == (0, 1, 3, 2)
-    assert (a * 3).coeffs == (3, 6, 0, 3)
-    assert a.shift(2).coeffs == (0, 0, 1, 2)
     assert a[1] == 2
+    assert str(a) == "1*u^0 + 2*u^1 + 1*u^3"
+    assert str(TruncatedSeries.zero("u", 2)) == "0"
 
 
 def test_series_mismatch_rejected():
@@ -37,6 +39,54 @@ def test_expand_product_basics():
         expand_product([(1, 0, -1)], 0, 5)
     with pytest.raises(ValueError):
         expand_product([(2, 1, 1)], 0, 5)
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        expand_product([(1, 1, 1)], -1, 5)
+
+
+def _convolve(a, b):
+    # the dense truncated product the series type once carried
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j in range(len(a) - i):
+            if b[j]:
+                out[i + j] += x * b[j]
+    return out
+
+
+def _apply_factor(coeffs, factor):
+    # multiply by (1 + sign*u^a), or by the explicit inverse series
+    # sum (-sign)^m u^(am) of that factor
+    sign, a, power = factor
+    D = len(coeffs) - 1
+    if power == 1:
+        return [c + sign * (coeffs[i - a] if i >= a else 0)
+                for i, c in enumerate(coeffs)]
+    inv = [0] * (D + 1)
+    s, m = 1, 0
+    while a * m <= D:
+        inv[a * m] = s
+        s *= -sign
+        m += 1
+    return _convolve(coeffs, inv)
+
+
+def test_expand_product_matches_convolution_oracle():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        factors = []
+        for _ in range(rng.randint(0, 6)):
+            power = rng.choice((1, -1))
+            a = rng.randint(0 if power == 1 else 1, 5)
+            factors.append((rng.choice((1, -1)), a, power))
+        shift, D = rng.randint(0, 3), rng.randint(0, 15)
+        want = [1] + [0] * D
+        for factor in factors:
+            want = _apply_factor(want, factor)
+        want = ([0] * shift + want)[:D + 1]
+        got = expand_product(factors, shift, D, var="t")
+        assert got == TruncatedSeries("t", D, tuple(want)), (factors, shift, D)
 
 
 def test_expand_product_is_partition_gf():
@@ -99,3 +149,13 @@ def test_limit_identity_reports_discrepancy_degree():
         check_limit_identity("shifted_sum", 10)
     with pytest.raises(ValueError):
         check_limit_identity("bogus", 10)
+
+
+def test_qidentities_suite_rows():
+    rows = qidentities_suite(12, 1)
+    assert [(r["check"], r.get("k"), r.get("l")) for r in rows] == [
+        ("limit_identity", None, None), ("limit_identity", None, None),
+        ("traces_closed_form", 0, 1),
+        ("traces_closed_form", 1, 0), ("supertraces_closed_form", 1, 0),
+        ("traces_closed_form", 1, 1), ("supertraces_closed_form", 1, 1)]
+    assert all(r["pass"] for r in rows)
