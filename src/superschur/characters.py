@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .laurent import InexactError
+from .laurent import exact_quotient
 from .partitions import (Hook, Partition, add_box_successors, as_hook,
                          enumerate_partitions, partitions_of)
 
@@ -105,19 +105,12 @@ def class_size(rho: Partition) -> int:
     return factorial(n) // denom
 
 
-def _divide_by_group_order(total: int, n: int, what: str) -> int:
-    q, r = divmod(total, factorial(n))
-    if r:
-        raise InexactError(f"class sum for {what} not divisible by {n}!")
-    return q
-
-
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Kronecker coefficient: multiplicity of chi^lam in chi^mu (x) chi^nu."""
     n = sum(lam)
     if sum(mu) != n or sum(nu) != n:
         raise ValueError("partitions must have equal size")
-    key = (lam, mu, nu)
+    key = (tuple(lam), tuple(mu), tuple(nu))
     hit = _MEMO.kron.get(key)
     if hit is not None:
         return hit
@@ -127,7 +120,7 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
         col = _column(rho)
         a, b, c = (col.get(m, 0) for m in masks)
         total += class_size(rho) * a * b * c
-    g = _divide_by_group_order(total, n, "a Kronecker coefficient")
+    g = exact_quotient(total, factorial(n), "class sum for a Kronecker coefficient")
     _MEMO.kron[key] = g
     return g
 
@@ -158,7 +151,7 @@ def m_lambda(lam: Partition, h) -> int:
         return 1
     mask = _mask(lam)
     total = sum(col.get(mask, 0) * w for col, w in _hook_weights(n, h))
-    return _divide_by_group_order(total, n, "a hook multiplicity")
+    return exact_quotient(total, factorial(n), "class sum for a hook multiplicity")
 
 
 def m_bar_lambda(lam: Partition, h) -> int:

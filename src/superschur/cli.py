@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import signal
 import sys
@@ -22,7 +23,10 @@ def _parse_hook(text: str) -> Hook:
 
 
 def _parse_hooks(text: str) -> list[Hook]:
-    return [_parse_hook(chunk) for chunk in text.replace(";", " ").split()]
+    hooks = [_parse_hook(chunk) for chunk in text.replace(";", " ").split()]
+    if not hooks:
+        raise argparse.ArgumentTypeError(f"need at least one hook 'k,l': {text!r}")
+    return hooks
 
 
 def _at_least(low: int):
@@ -34,7 +38,11 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: parsing
+    leaves it unchanged, and building it costs more than ten parses.
+    Every parse shares the defaults, so they are immutable."""
     parser = argparse.ArgumentParser(
         prog="superschur",
         description="Exact hook-Schur multiplicities, Poincare series, and "
@@ -67,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--degree", type=int, default=10)
     p.add_argument("--route", choices=["residue", "char"], default="residue")
-    p.add_argument("--dump-poly", action="store_true",
-                   help="print the series termwise in graded-lex order")
     add_common(p)
 
     # each suite declares only the flags it reads, so any other exits 2
@@ -76,19 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
     suites = p.add_subparsers(dest="suite", required=True)
     p = suites.add_parser("budzik", help="jump by residue against characters")
     p.add_argument("--max-size", type=_at_least(0), default=4)
-    p.add_argument("--hooks", type=_parse_hooks, default=[Hook(1, 1)])
+    p.add_argument("--hooks", type=_parse_hooks, default=(Hook(1, 1),))
     p.add_argument("--jobs", type=_at_least(1), default=1)
     add_common(p, formats=("text", "json"))
 
     p = suites.add_parser("lemmas", help="bar jumps and derivative slices")
     p.add_argument("--max-size", type=_at_least(0), default=4)
-    p.add_argument("--hooks", type=_parse_hooks, default=[Hook(1, 1)])
+    p.add_argument("--hooks", type=_parse_hooks, default=(Hook(1, 1),))
     p.add_argument("--degree", type=int, default=4)
     add_common(p, formats=("text", "json"))
 
     p = suites.add_parser("qidentities",
                           help="limit identities and one-variable closed forms")
-    p.add_argument("--degree", type=int, default=20)
+    p.add_argument("--degree", type=int, default=20,
+                   help="degree of the two limit identities; the closed forms "
+                        "are checked through a fixed degree 12")
     p.add_argument("--max-kl", type=_at_least(0), default=3)
     add_common(p, formats=("text", "json"))
 
@@ -109,11 +117,6 @@ def _run_series(args, out) -> int:
     mode = "bar_prime" if args.mode == "barprime" else args.mode
     series = p_series(mode, args.hook, args.n, args.m, args.degree,
                       route=args.route)
-    if args.dump_poly:
-        for exps, coeff in series.sorted_terms():
-            factors = [f"{v}^{a}" for v, a in zip(series.table.names, exps) if a]
-            print(f"{coeff} * " + (" ".join(factors) if factors else "1"), file=out)
-        return 0
     if args.n + args.m == 1:
         coeffs = univariate_coefficients(series, args.degree)
         if args.fmt == "json":

@@ -119,7 +119,8 @@ def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]
 
 def _det(mat: list[list[LaurentPoly]], table: VarTable) -> LaurentPoly:
     """Determinant of a square LaurentPoly matrix; minor expansion with
-    memoization on the surviving column set."""
+    memoization on the surviving column set.  A one-column minor is its
+    entry itself, not a copy."""
     n = len(mat)
     if n == 0:
         return LaurentPoly.const(table, 1)
@@ -127,8 +128,8 @@ def _det(mat: list[list[LaurentPoly]], table: VarTable) -> LaurentPoly:
 
     def rec(cols: tuple) -> LaurentPoly:
         row = n - len(cols)
-        if not cols:
-            return LaurentPoly.const(table, 1)
+        if len(cols) == 1:
+            return mat[row][cols[0]]
         hit = memo.get(cols)
         if hit is not None:
             return hit

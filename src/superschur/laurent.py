@@ -25,6 +25,15 @@ class InexactError(ArithmeticError):
     input.  Raised explicitly so that `python -O` cannot skip the check."""
 
 
+def exact_quotient(total: int, divisor: int, what: str) -> int:
+    """total / divisor for ints that must divide exactly; InexactError
+    naming `what`, the total and the divisor otherwise."""
+    q, r = divmod(total, divisor)
+    if r:
+        raise InexactError(f"{what}: {total} is not divisible by {divisor}")
+    return q
+
+
 class VarTable:
     """Ordered list of distinct variable names, fixed for its lifetime.
 
@@ -52,9 +61,6 @@ class VarTable:
 
     def index(self, name: str) -> int:
         return self._index[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarTable) and self.names == other.names
@@ -189,10 +195,6 @@ class LaurentPoly:
     def coefficient(self, exps: tuple) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    @property
-    def constant_term(self) -> int:
-        return self._packed.get(self.table.zero_key, 0)
-
     def single_term(self) -> tuple[int, tuple]:
         """(coeff, exps) of the unique term; raises if not a monomial."""
         if len(self._packed) != 1:
@@ -293,9 +295,6 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.table == other.table \
             and self._packed == other._packed
 
-    def __hash__(self) -> int:
-        return hash((self.table, frozenset(self._packed.items())))
-
     # -- structural operations ---------------------------------------
 
     def invert_variables(self) -> "LaurentPoly":
@@ -364,9 +363,9 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         fkey = max(rem)
         qkey = tuple(a - b for a, b in zip(fkey, gkey))
         ok = all(fmin[i] - gmax[i] <= qkey[i] <= fmax[i] - gmin[i] for i in range(n))
-        qc, r = divmod(rem[fkey], gcoef)
-        if not ok or r:
+        if not ok:
             raise InexactError("polynomial division is not exact")
+        qc = exact_quotient(rem[fkey], gcoef, "polynomial division")
         quo[qkey] = qc
         for e, c in gterms.items():
             key = tuple(a + b for a, b in zip(qkey, e))

@@ -16,8 +16,8 @@ from __future__ import annotations
 from math import factorial
 
 from .hookschur import Alphabet, hook_schur_eval
-from .laurent import InexactError, LaurentPoly, VarTable
-from .partitions import Hook, Partition, as_hook
+from .laurent import LaurentPoly, VarTable, exact_quotient
+from .partitions import Partition, as_hook
 
 def residue_table(h) -> VarTable:
     h = as_hook(h)
@@ -89,21 +89,19 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     return terms.get(table.zero_key, 0)
 
 
-def _divide_by_weyl_order(ct: int, h: Hook) -> int:
-    """ct / (k! l!), which must be exact."""
-    q, r = divmod(ct, factorial(h.k) * factorial(h.l))
-    if r:
-        raise InexactError("constant term not divisible by k! l! (expansion bug)")
-    return q
+def _integral(f: LaurentPoly, h, slack: int) -> int:
+    """(k! l!)^-1 x constant term of f * Delta, which must be exact."""
+    h = as_hook(h)
+    return exact_quotient(constant_term_with_delta(f, h, slack),
+                          factorial(h.k) * factorial(h.l),
+                          "constant term over k! l! (expansion bug)")
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, h, slack: int = 0) -> int:
     """<f, g> = (k! l!)^-1 x constant term of f(X;Y) g(X^-1;Y^-1) Delta."""
-    h = as_hook(h)
     if f.table != g.table:
         raise ValueError("variable table mismatch")
-    ct = constant_term_with_delta(f * g.invert_variables(), h, slack)
-    return _divide_by_weyl_order(ct, h)
+    return _integral(f * g.invert_variables(), h, slack)
 
 
 def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
@@ -136,15 +134,10 @@ def hs_on_z(lam: Partition, h) -> LaurentPoly:
 
 def m_prime_residue(lam: Partition, h, slack: int = 0) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump."""
-    h = as_hook(h)
-    ct = constant_term_with_delta(hs_on_z(lam, h), h, slack)
-    return _divide_by_weyl_order(ct, h)
+    return _integral(hs_on_z(lam, h), h, slack)
 
 
 def m_bar_prime_residue(lam: Partition, h, slack: int = 0) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z."""
-    h = as_hook(h)
     _, z0, z1 = z_alphabets(h)
-    f = hs_on_z(lam, h) * (z0.sum_poly() + z1.sum_poly())
-    ct = constant_term_with_delta(f, h, slack)
-    return _divide_by_weyl_order(ct, h)
+    return _integral(hs_on_z(lam, h) * (z0.sum_poly() + z1.sum_poly()), h, slack)

@@ -193,6 +193,10 @@ def test_kronecker_examples():
     assert kronecker((2, 2), (2, 2), (2, 2)) == 1
 
 
+def test_kronecker_accepts_lists():
+    assert kronecker([2, 1], [2, 1], [2, 1]) == kronecker((2, 1), (2, 1), (2, 1)) == 1
+
+
 def test_m_lambda_small_values():
     # hand-checked: g(lam, mu, mu) is 1 for lam one row, [mu self-conjugate]
     # for lam one column, and chi^{(2,1)} tensor-square bookkeeping for (2,1)

@@ -72,13 +72,17 @@ def test_series_multivariate_json():
     assert all(set(r) == {"exponents", "coeff"} for r in rows)
 
 
-def test_series_dump_poly():
-    code, text = run_cli("series", "--mode", "prime", "--hook", "1,1",
-                         "--degree", "2", "--route", "char", "--dump-poly")
+def test_series_csv_multivariate():
+    # one term per row, in descending graded-lex order; text joins the
+    # same terms with " + "
+    argv = ("series", "--mode", "prime", "--hook", "1,1", "--n", "1", "--m", "1",
+            "--degree", "2", "--route", "char", "--format")
+    code, text = run_cli(*argv, "csv")
     assert code == 0
-    lines = text.strip().splitlines()
-    assert lines[0] == "2 * t1^2"
-    assert lines[1] == "1 * t1^1"
+    assert text.splitlines() == ["t1,u1,coefficient", "2,0,2", "1,1,2", "1,0,1", "0,1,1"]
+    code, text = run_cli(*argv, "text")
+    assert code == 0
+    assert text == "2 * t1^2 + 2 * t1^1 u1^1 + 1 * t1^1 + 1 * u1^1\n"
 
 
 def test_verify_budzik_passes():
@@ -125,6 +129,13 @@ def test_bad_usage_exits_2(capsys):
     assert main(["series", "--mode", "prime", "--hook", "1,1",
                  "--n", "0", "--m", "0"]) == 2  # no series variables
     assert main(["verify", "budzik", "--format", "csv"]) == 2  # text or json only
+    # there is no termwise flag: --format csv prints one term per row
+    assert main(["series", "--mode", "prime", "--hook", "1,1", "--dump-poly"]) == 2
+    # a suite over no hook is refused, not passed with zero cases
+    capsys.readouterr()
+    for suite, hooks in (("budzik", ""), ("lemmas", ";")):
+        assert main(["verify", suite, "--hooks", hooks]) == 2
+        assert "--hooks" in capsys.readouterr().err
     # a degree out of range is named in the message, as the user gave it
     capsys.readouterr()
     assert main(["verify", "lemmas", "--max-size", "1", "--degree", "0"]) == 2
@@ -154,6 +165,29 @@ def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["mlambda", "--lambda", "3,1", "--hook", "2,1"])
     assert args.lam == (3, 1) and args.hook == Hook(2, 1)
+    assert build_parser() is parser
+
+
+def _package_env():
+    # the directory that holds the superschur package imported here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(superschur.__file__)))
+    return dict(os.environ, PYTHONPATH=root)
+
+
+def test_reused_parser_matches_fresh_process(capsys):
+    # one process parses a usage error, a series and a verify command with
+    # the same parser; each must print what a fresh process prints
+    for argv in (["series", "--mode", "prime"],
+                 ["series", "--mode", "barprime", "--hook", "2,1", "--n", "1",
+                  "--m", "1", "--degree", "4", "--format", "csv"],
+                 ["verify", "lemmas", "--max-size", "2", "--hooks", "1,1;2,1",
+                  "--degree", "3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "superschur.cli", *argv],
+                               capture_output=True, env=_package_env(), timeout=60)
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
@@ -161,8 +195,7 @@ def test_closed_stdout_ends_silently():
     # the reader end is closed before the command writes its answer
     read_end, write_end = os.pipe()
     os.close(read_end)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(superschur.__file__)))
-    env = dict(os.environ, PYTHONPATH=root)
+    env = _package_env()
     try:
         proc = subprocess.run([sys.executable, "-m", "superschur.cli", "mlambda",
                                "--lambda", "2,1", "--hook", "1,1"],

@@ -1,8 +1,9 @@
-from itertools import combinations, combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from superschur.hookschur import (_HOM_CACHE, Alphabet, hook_schur_def,
+from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, hook_schur_def,
                                   hook_schur_eval, hook_schur_factorized,
                                   hook_schur_jp, schur_by_tableaux, schur_eval,
                                   skew_schur_by_tableaux, skew_schur_eval,
@@ -179,3 +180,36 @@ def test_super_hom_sequence_on_signed_alphabets():
 def test_jp_rejects_non_plain_or_shared_variables(xs, ys):
     with pytest.raises(ValueError):
         hook_schur_jp((1,), Alphabet(T21, xs), Alphabet(T21, ys))
+
+
+def _leibniz_det(mat, table):
+    """Sum over permutations of sign times the product of the picked
+    entries (oracle)."""
+    total = LaurentPoly.zero(table)
+    for perm in permutations(range(len(mat))):
+        inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                         if perm[i] > perm[j])
+        term = LaurentPoly.const(table, (-1) ** inversions)
+        for row, col in enumerate(perm):
+            term = term * mat[row][col]
+        total = total + term
+    return total
+
+
+def test_det_matches_leibniz_oracle():
+    rng = random.Random(8)
+
+    def entry():
+        if rng.random() < 0.3:
+            return LaurentPoly.zero(T21)
+        return LaurentPoly(T21, {tuple(rng.randint(-2, 2) for _ in range(3)):
+                                 rng.choice([-3, -2, -1, 1, 2, 3])
+                                 for _ in range(rng.randint(1, 3))})
+
+    for size in range(5):
+        for _ in range(20):
+            mat = [[entry() for _ in range(size)] for _ in range(size)]
+            assert _det(mat, T21) == _leibniz_det(mat, T21)
+    # a one-entry minor is the entry itself, not a copy of it
+    p = _sym(T21, "x1") + 2
+    assert _det([[p]], T21) is p

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 import superschur
-from superschur.laurent import InexactError, LaurentPoly, VarTable, divide_exact
+from superschur.laurent import (InexactError, LaurentPoly, VarTable, divide_exact,
+                               exact_quotient)
 
 from conftest import TABLE2, laurent_polys
 
@@ -91,16 +92,26 @@ def test_divide_exact_rejects_inexact():
         divide_exact(3 * X, 2 * X)
 
 
+def test_exact_quotient():
+    assert exact_quotient(12, 4, "twelve by four") == 3
+    assert exact_quotient(-12, 4, "minus twelve by four") == -3
+    with pytest.raises(InexactError, match="seven by two: 7 is not divisible by 2"):
+        exact_quotient(7, 2, "seven by two")
+
+
 def test_inexact_division_raises_under_optimize():
     # python -O strips asserts; the exactness check must survive it
     code = ("from superschur.laurent import (InexactError, LaurentPoly, VarTable,\n"
-            "                                divide_exact)\n"
+            "                                divide_exact, exact_quotient)\n"
             "t = VarTable(['x'])\n"
-            "try:\n"
-            "    divide_exact(LaurentPoly.const(t, 3), LaurentPoly.const(t, 2))\n"
-            "except InexactError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
+            "for divide in (lambda: divide_exact(LaurentPoly.const(t, 3),\n"
+            "                                    LaurentPoly.const(t, 2)),\n"
+            "               lambda: exact_quotient(3, 2, 'three by two')):\n"
+            "    try:\n"
+            "        divide()\n"
+            "    except InexactError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n")
     # the directory that holds the superschur package imported here
     root = os.path.dirname(os.path.dirname(os.path.abspath(superschur.__file__)))
     env = dict(os.environ, PYTHONPATH=root)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from superschur.qseries import (TruncatedSeries, check_limit_identity,
-                                closed_form_series, expand_product,
+from superschur.qseries import (CLOSED_FORM_DEGREE, TruncatedSeries,
+                                check_limit_identity, closed_form_series, expand_product,
                                 gf_partitions, qidentities_suite,
                                 u2_factorial_factors)
 
@@ -159,3 +159,7 @@ def test_qidentities_suite_rows():
         ("traces_closed_form", 1, 0), ("supertraces_closed_form", 1, 0),
         ("traces_closed_form", 1, 1), ("supertraces_closed_form", 1, 1)]
     assert all(r["pass"] for r in rows)
+    # every row names its degree: the limit identities take the one asked
+    # for, the closed forms their fixed one
+    assert [r["degree"] for r in rows] == [12, 12] + [CLOSED_FORM_DEGREE] * 5
+    assert [r["degree"] for r in qidentities_suite(5, 1)] == [5, 5] + [CLOSED_FORM_DEGREE] * 5

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from superschur.hookschur import Alphabet, hook_schur_eval
-from superschur.laurent import LaurentPoly, VarTable
+from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.residue import (constant_term_with_delta, delta_numerator,
@@ -133,3 +133,12 @@ def test_slack_past_limit_rejected():
     t = residue_table((1, 1))
     with pytest.raises(ValueError, match="packing limit"):
         constant_term_with_delta(LaurentPoly.const(t, 1), (1, 1), VarTable.LIMIT + 1)
+
+
+def test_inexact_residue_raises():
+    # the constant term of x1 x2^-1 * Delta is -1, not a multiple of 2! 0!
+    t = residue_table((2, 0))
+    f = LaurentPoly.monomial(t, 1, (1, -1))
+    assert constant_term_with_delta(f, (2, 0)) == -1
+    with pytest.raises(InexactError, match="-1 is not divisible by 2"):
+        inner_product(f, LaurentPoly.const(t, 1), (2, 0))
