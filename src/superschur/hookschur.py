@@ -93,25 +93,23 @@ def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]
     """Complete functions h_0..h_upto of the super alphabet X;Y, the
     coefficients of prod (1 - x z)^-1 prod (1 + y z).
 
-    One memo entry per alphabet pair holds h_0..h_R and the last column
-    col, where col[i] is h_R of the first i factors (X, then Y).  Degree
-    R + 1 takes col[i+1] = col[i] + x * prev[i+1] for an x factor and
-    col[i] + y * prev[i] for a y factor, so a larger `upto` extends the
-    entry and a smaller one slices it.
+    One memo entry per alphabet pair holds h_0..h_R, the last column col,
+    where col[i] is h_R of the first i factors (X, then Y), and the letters
+    as monomials.  Degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for
+    an x factor and col[i] + y * prev[i] for a y factor, each in one pass,
+    so a larger `upto` extends the entry and a smaller one slices it.
     """
     entry = _HOM_CACHE.get((X, Y))
     if entry is None:
         one = LaurentPoly.const(X.table, 1)
-        entry = _HOM_CACHE[(X, Y)] = [[one], [one] * (len(X) + len(Y) + 1)]
-    hs, col = entry
-    xs = [X.entry(i) for i in range(len(X))]
-    ys = [Y.entry(j) for j in range(len(Y))]
+        letters = [LaurentPoly.monomial(X.table, c, e) for c, e in X.monos + Y.monos]
+        entry = _HOM_CACHE[(X, Y)] = [[one], [one] * (len(letters) + 1), letters]
+    hs, col, letters = entry
+    nx = len(X)
     while len(hs) <= upto:
         prev, col = col, [LaurentPoly.zero(X.table)]
-        for i, x in enumerate(xs):
-            col.append(col[i] + x * prev[i + 1])
-        for i, y in enumerate(ys, len(xs)):
-            col.append(col[i] + y * prev[i])
+        for i, z in enumerate(letters):
+            col.append(col[i]._add_monomial_times(z, prev[i + 1] if i < nx else prev[i]))
         hs.append(col[-1])
     entry[1] = col
     return hs[:upto + 1]

@@ -231,6 +231,29 @@ class LaurentPoly:
 
     __radd__ = __add__
 
+    def _add_monomial_times(self, mono: "LaurentPoly", other: "LaurentPoly") -> "LaurentPoly":
+        """self + mono * other for a one-term `mono`, in one pass: each term
+        of `other` is shifted by mono's key and added into a copy of self,
+        so the product is never formed on its own."""
+        self._check(mono)
+        self._check(other)
+        ((shift, c),) = mono._packed.items()
+        shift -= self.table.zero_key
+        reach = mono.reach + other.reach
+        if reach > VarTable.LIMIT:
+            raise ValueError(f"product exponent bound {reach} is past the "
+                             f"packing limit {VarTable.LIMIT}")
+        terms = dict(self._packed)
+        get = terms.get
+        for key, b in other._packed.items():
+            key += shift
+            s = get(key, 0) + c * b
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        return LaurentPoly._from_packed(self.table, terms, max(self.reach, reach))
+
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._from_packed(
             self.table, {key: -c for key, c in self._packed.items()}, self.reach)

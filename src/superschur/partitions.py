@@ -105,13 +105,15 @@ def is_self_conjugate(lam: Partition) -> bool:
     return lam == conjugate(lam)
 
 
-def _gen(n: int, max_part: int) -> Iterator[Partition]:
-    """All partitions of n with parts <= max_part, lexicographic descending."""
+def _gen(n: int, max_part: int, free: int, cap: int) -> Iterator[Partition]:
+    """All partitions of n with parts <= max_part whose parts after the
+    first `free` are also <= cap, lexicographic descending."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen(n - first, first):
+    top = min(n, max_part) if free > 0 else min(n, max_part, cap)
+    for first in range(top, 0, -1):
+        for rest in _gen(n - first, first, free - 1, cap):
             yield (first,) + rest
 
 
@@ -124,14 +126,16 @@ def enumerate_partitions(n: int,
 
     Canonical order is lexicographic descending; determinism is contractual
     for golden-file tests.  `in_hook` and `typical` take Hook or (k, l).
+    A hook prunes the generation: every part after the k-th is at most l,
+    which is hook membership, and a typical partition lies in its hook.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    bound = in_hook if in_hook is not None else typical
+    free, cap = (n, 0) if bound is None else as_hook(bound)
     out = []
-    for lam in _gen(n, n if n else 1):
+    for lam in _gen(n, n, free, cap):
         if max_height is not None and len(lam) > max_height:
-            continue
-        if in_hook is not None and classify_hook(lam, in_hook) is HookClass.OUTSIDE:
             continue
         if typical is not None and not is_typical(lam, typical):
             continue
@@ -143,7 +147,7 @@ def enumerate_partitions(n: int,
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
-    return tuple(_gen(n, n if n else 1))
+    return tuple(_gen(n, n, n, 0))
 
 
 def add_box_successors(lam: Partition) -> list[Partition]:

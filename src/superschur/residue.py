@@ -5,14 +5,21 @@ in y) and denominator prod_{i,j}(1 + x_i y_j^-1)(1 + x_i^-1 y_j).  The
 contour ordering |x| > |y| is realized algebraically: each denominator
 pair is rewritten as x_i^-1 y_j * sum_{m>=0} (m+1)(-x_i^-1 y_j)^m, so no
 numeric radius exists anywhere.  Truncation of each geometric factor is
-per-term and exact: a term can only reach the constant term if its x
-exponents stay nonnegative and its y exponents nonpositive while factors
-are absorbed.  `slack` widens every truncation window; results must be
-independent of it (the truncation-stability invariant).
+per-term and exact: absorbing a factor only lowers x exponents and raises
+y exponents, so a term that leaves a box |e_i| <= r never returns to it.
+
+The constant term CT[f Delta] = sum_e f_e [x^-e] Delta is linear in f.
+Every integral is therefore one dot product of f against Delta's
+expansion on a box |e_i| <= R covering f's reach, built once per hook by
+absorbing the factors into the Delta numerator and grown only when a
+larger reach arrives.  `constant_term_with_delta` keeps the per-integrand
+expansion as the oracle: an int `slack` widens its windows and selects it,
+and results must agree with the kernel for every slack.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
 from .hookschur import Alphabet, hook_schur_eval
@@ -25,9 +32,11 @@ def residue_table(h) -> VarTable:
                     + [f"y{j}" for j in range(1, h.l + 1)])
 
 
+@lru_cache(maxsize=None)
 def delta_numerator(table: VarTable, h) -> LaurentPoly:
     """Finite part of Delta after the geometric rewrite: the difference
-    products times the monomial prefactor prod x_i^-l prod y_j^k."""
+    products times the monomial prefactor prod x_i^-l prod y_j^k.
+    Memoised: every kernel rebuilt for a larger reach starts from it."""
     h = as_hook(h)
     k, ell = h.k, h.l
     result = LaurentPoly.const(table, 1)
@@ -44,20 +53,48 @@ def delta_numerator(table: VarTable, h) -> LaurentPoly:
     return result * LaurentPoly.monomial(table, 1, tuple(pre))
 
 
+def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int) -> dict:
+    """Packed terms times every geometric factor, grouped by x index then
+    y index, keeping only what can land in the box |e_i| <= r.  Absorbing
+    one factor of (x_i^-1 y_j) adds `step`; x exponents only ever fall and
+    y exponents only rise, so a term is dropped as soon as x_i < -r or
+    y_j > r, and once every factor touching x_i is in, x_i is clipped to
+    [-r, r].  Exact on that box."""
+    field, width = table.field, VarTable.WIDTH
+    for i in range(k):
+        for j in range(ell):
+            step = (1 << (width * (k + j))) - (1 << (width * i))
+            new: dict[int, int] = {}
+            get = new.get
+            for key, c in terms.items():
+                bound = min(field(key, i) + r, r - field(key, k + j))
+                # the m-th term of the factor is (m + 1) (-x_i^-1 y_j)^m
+                for m in range(bound + 1):
+                    new[key] = get(key, 0) + c * (m + 1)
+                    key += step
+                    c = -c
+            terms = {key: c for key, c in new.items() if c}
+        terms = table.clip(terms, i, -r, r)
+    return terms
+
+
+def _check_table(table: VarTable, h) -> None:
+    if len(table) != h.k + h.l:
+        raise ValueError("polynomial table does not match the hook")
+
+
 def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     """Exact constant term of f * Delta, with Delta expanded per the
-    |x| > |y| ordering.  Factors are absorbed grouped by x index then y
-    index; after all factors touching x_i are in, terms off x_i = 0 are
-    discarded (they cannot reach the constant term).  Works on packed
-    exponent keys: absorbing one factor of (x_i^-1 y_j) adds `step`."""
+    |x| > |y| ordering, inside windows widened by `slack` (the oracle).
+    f is multiplied by the Delta numerator and every geometric factor is
+    absorbed into the product, keeping the box |e_i| <= slack."""
     h = as_hook(h)
     k, ell = h.k, h.l
     table = f.table
-    if len(table) != k + ell:
-        raise ValueError("polynomial table does not match the hook")
+    _check_table(table, h)
     if slack > VarTable.LIMIT:
         raise ValueError(f"slack {slack} is past the packing limit {VarTable.LIMIT}")
-    field, clip, limit = table.field, table.clip, VarTable.LIMIT
+    clip, limit = table.clip, VarTable.LIMIT
     num = delta_numerator(table, h)
     # x exponents only ever decrease, y only increase: a term must reach
     # x_i >= -slack and y_j <= slack after num, and must stay there
@@ -71,33 +108,55 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
         terms = clip(terms, i, -slack, limit)
     for j in range(k, k + ell):
         terms = clip(terms, j, -limit, slack)
-    width = VarTable.WIDTH
-    for i in range(k):
-        for j in range(ell):
-            step = (1 << (width * (k + j))) - (1 << (width * i))
-            new: dict[int, int] = {}
-            get = new.get
-            for key, c in terms.items():
-                bound = min(field(key, i) + slack, slack - field(key, k + j))
-                # the m-th term of the factor is (m + 1) (-x_i^-1 y_j)^m
-                for m in range(bound + 1):
-                    new[key] = get(key, 0) + c * (m + 1)
-                    key += step
-                    c = -c
-            terms = {key: c for key, c in new.items() if c}
-        terms = clip(terms, i, -slack, slack)
-    return terms.get(table.zero_key, 0)
+    return _absorb(terms, table, k, ell, slack).get(table.zero_key, 0)
 
 
-def _integral(f: LaurentPoly, h, slack: int) -> int:
-    """(k! l!)^-1 x constant term of f * Delta, which must be exact."""
+# hook -> (R, {packed key of -e: [x^e] Delta for |e_i| <= R})
+_KERNELS: dict = {}
+
+
+def _kernel(table: VarTable, h, reach: int) -> dict:
+    """Delta's expansion on a box that covers every exponent of reach
+    `reach`, keyed so that f's key e finds [x^-e] Delta.  Built by one
+    absorption of the Delta numerator, memoised per hook and rebuilt only
+    for a larger reach, with R = 1.5 x reach so that a slowly growing reach
+    does not rebuild it every time."""
+    hit = _KERNELS.get(h)
+    if hit is not None and hit[0] >= reach:
+        return hit[1]
+    r = min(reach * 3 // 2, VarTable.LIMIT)
+    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, r)
+    for i in range(h.k, len(table)):
+        terms = table.clip(terms, i, -r, r)
+    twice_zero = 2 * table.zero_key
+    kern = {twice_zero - key: c for key, c in terms.items()}
+    _KERNELS[h] = (r, kern)
+    return kern
+
+
+def constant_term_by_kernel(f: LaurentPoly, h) -> int:
+    """Exact constant term of f * Delta as one dot product, sum_e f_e
+    [x^-e] Delta, against the memoised kernel."""
     h = as_hook(h)
-    return exact_quotient(constant_term_with_delta(f, h, slack),
-                          factorial(h.k) * factorial(h.l),
+    _check_table(f.table, h)
+    a, b = f._packed, _kernel(f.table, h, f.reach)
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    return sum(c * get(key, 0) for key, c in a.items())
+
+
+def _integral(f: LaurentPoly, h, slack: int | None) -> int:
+    """(k! l!)^-1 x constant term of f * Delta, which must be exact: by the
+    kernel when `slack` is None, by the windowed oracle otherwise."""
+    h = as_hook(h)
+    ct = constant_term_by_kernel(f, h) if slack is None \
+        else constant_term_with_delta(f, h, slack)
+    return exact_quotient(ct, factorial(h.k) * factorial(h.l),
                           "constant term over k! l! (expansion bug)")
 
 
-def inner_product(f: LaurentPoly, g: LaurentPoly, h, slack: int = 0) -> int:
+def inner_product(f: LaurentPoly, g: LaurentPoly, h, slack: int | None = None) -> int:
     """<f, g> = (k! l!)^-1 x constant term of f(X;Y) g(X^-1;Y^-1) Delta."""
     if f.table != g.table:
         raise ValueError("variable table mismatch")
@@ -132,12 +191,12 @@ def hs_on_z(lam: Partition, h) -> LaurentPoly:
     return hook_schur_eval(tuple(lam), *z_alphabets(h)[1:])
 
 
-def m_prime_residue(lam: Partition, h, slack: int = 0) -> int:
+def m_prime_residue(lam: Partition, h, slack: int | None = None) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump."""
     return _integral(hs_on_z(lam, h), h, slack)
 
 
-def m_bar_prime_residue(lam: Partition, h, slack: int = 0) -> int:
+def m_bar_prime_residue(lam: Partition, h, slack: int | None = None) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z."""
     _, z0, z1 = z_alphabets(h)
     return _integral(hs_on_z(lam, h) * (z0.sum_poly() + z1.sum_poly()), h, slack)

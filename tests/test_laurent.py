@@ -215,3 +215,32 @@ def test_product_past_limit_raises():
     # the bound grows through sums and products, not only from the inputs
     with pytest.raises(ValueError, match="packing limit"):
         ((f + 1) * X) * (f + Y)
+
+
+MONOMIALS = st.builds(
+    lambda c, e: LaurentPoly.monomial(TABLE2, c, e),
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3)))
+
+
+@given(laurent_polys(), MONOMIALS, laurent_polys())
+def test_add_monomial_times_matches_product(f, mono, g):
+    got = f._add_monomial_times(mono, g)
+    want = f + mono * g
+    assert got == want
+    assert got.reach == want.reach
+
+
+def test_add_monomial_times_full_cancellation():
+    f = LaurentPoly(TABLE2, {(2, 0): 3, (1, 1): -1})
+    g = LaurentPoly(TABLE2, {(1, -1): 3, (0, 0): -1})
+    mono = LaurentPoly.monomial(TABLE2, -1, (1, 1))
+    assert f._add_monomial_times(mono, g).is_zero()
+    assert f._add_monomial_times(mono, LaurentPoly.zero(TABLE2)) == f
+
+
+def test_add_monomial_times_past_limit_raises():
+    half = VarTable.LIMIT // 2 + 1
+    f = LaurentPoly.monomial(TABLE2, 1, (half, 0))
+    with pytest.raises(ValueError, match="packing limit"):
+        X._add_monomial_times(f, f)

@@ -153,3 +153,22 @@ def test_parse_format_roundtrip():
         parse_partition("1,2")
     with pytest.raises(ValueError):
         parse_partition("2,0")
+
+
+PRUNE_HOOKS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 0), (3, 2)]
+
+
+def test_hook_pruned_enumeration_matches_filter_oracle():
+    # the pruned generator keeps exactly the hook members, in the same order
+    for n in range(15):
+        every = enumerate_partitions(n)
+        for h in PRUNE_HOOKS:
+            assert enumerate_partitions(n, in_hook=h) == [
+                lam for lam in every if classify_hook(lam, h) is not HookClass.OUTSIDE]
+            assert enumerate_partitions(n, typical=h) == [
+                lam for lam in every if classify_hook(lam, h) is HookClass.TYPICAL]
+            for other in ((1, 1), (2, 0)):
+                assert enumerate_partitions(n, in_hook=h, typical=other) == [
+                    lam for lam in every
+                    if classify_hook(lam, h) is not HookClass.OUTSIDE
+                    and classify_hook(lam, other) is HookClass.TYPICAL]

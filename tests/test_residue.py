@@ -4,10 +4,11 @@ from hypothesis import given, settings
 
 from superschur.hookschur import Alphabet, hook_schur_eval
 from superschur.laurent import InexactError, LaurentPoly, VarTable
-from superschur.partitions import (HookClass, classify_hook,
+from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
-from superschur.residue import (constant_term_with_delta, delta_numerator,
-                                inner_product, m_bar_prime_residue,
+from superschur.residue import (_KERNELS, constant_term_by_kernel,
+                                constant_term_with_delta, delta_numerator,
+                                hs_on_z, inner_product, m_bar_prime_residue,
                                 m_prime_residue, residue_table, z_alphabets)
 
 from conftest import laurent_polys
@@ -100,9 +101,12 @@ def test_m_bar_prime_is_successor_sum():
 
 
 def test_table_hook_mismatch_rejected():
-    t = residue_table((1, 1))
-    with pytest.raises(ValueError):
-        constant_term_with_delta(LaurentPoly.const(t, 1), (2, 1))
+    one = LaurentPoly.const(residue_table((1, 1)), 1)
+    for ct in (constant_term_with_delta, constant_term_by_kernel):
+        with pytest.raises(ValueError, match="does not match the hook"):
+            ct(one, (2, 1))
+    with pytest.raises(ValueError, match="does not match the hook"):
+        inner_product(one, one, (1, 2))
 
 
 def test_slack_independence():
@@ -121,12 +125,14 @@ SLACK_HOOKS = [(1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
 @settings(max_examples=200, deadline=None)
 def test_constant_term_independent_of_slack_on_random_laurent(data):
     # arbitrary Laurent f, not only hook-Schur values: checks the pruning
-    # of f before the Delta-numerator product as well as the absorption
+    # of f before the Delta-numerator product as well as the absorption,
+    # and the kernel dot product against the windowed oracle
     h = data.draw(st.sampled_from(SLACK_HOOKS))
     f = data.draw(laurent_polys(table=residue_table(h), max_terms=8))
     base = constant_term_with_delta(f, h, 0)
     assert constant_term_with_delta(f, h, 1) == base
     assert constant_term_with_delta(f, h, 3) == base
+    assert constant_term_by_kernel(f, h) == base
 
 
 def test_slack_past_limit_rejected():
@@ -142,3 +148,28 @@ def test_inexact_residue_raises():
     assert constant_term_with_delta(f, (2, 0)) == -1
     with pytest.raises(InexactError, match="-1 is not divisible by 2"):
         inner_product(f, LaurentPoly.const(t, 1), (2, 0))
+
+
+KERNEL_HOOKS = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_kernel_matches_oracle_on_hook_schur_values(h):
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            f = hs_on_z(lam, h)
+            assert constant_term_by_kernel(f, h) == constant_term_with_delta(f, h), lam
+
+
+def test_kernel_independent_of_growth_order():
+    # the memo grows with the reach: a kernel grown step by step and one
+    # built first for the largest reach must give the same values
+    h = Hook(2, 2)
+    fs = sorted((hs_on_z(lam, h) for n in range(7) for lam in enumerate_partitions(n)),
+                key=lambda f: f.reach)
+    _KERNELS.clear()
+    small_first = [constant_term_by_kernel(f, h) for f in fs]
+    assert _KERNELS[h][0] <= fs[-1].reach * 3 // 2
+    _KERNELS.clear()
+    large_first = [constant_term_by_kernel(f, h) for f in reversed(fs)][::-1]
+    assert small_first == large_first == [constant_term_with_delta(f, h) for f in fs]
