@@ -17,7 +17,7 @@ from .poincare import (budzik_suite, check_derivative_relation, lemmas_suite,
                        verify_budzik)
 from .qseries import (TruncatedSeries, check_limit_identity,
                       closed_form_series, expand_product, gf_partitions,
-                      qidentities_suite, u2_factorial_factors)
+                      qidentities_suite)
 from .residue import (constant_term_by_kernel, constant_term_with_delta,
                       delta_numerator, inner_product, m_bar_prime_residue,
                       m_prime_residue, residue_table, z_alphabets)

@@ -219,22 +219,15 @@ class LaurentPoly:
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
-        self._check(other)
-        terms = dict(self._packed)
-        for key, c in other._packed.items():
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-        return LaurentPoly._from_packed(self.table, terms, max(self.reach, other.reach))
+        return self._add_monomial_times(LaurentPoly.const(self.table, 1), other)
 
     __radd__ = __add__
 
     def _add_monomial_times(self, mono: "LaurentPoly", other: "LaurentPoly") -> "LaurentPoly":
         """self + mono * other for a one-term `mono`, in one pass: each term
         of `other` is shifted by mono's key and added into a copy of self,
-        so the product is never formed on its own."""
+        so the product is never formed on its own.  The one loop that adds
+        a polynomial into another: `+` and `-` pass mono = 1 and -1."""
         self._check(mono)
         self._check(other)
         ((shift, c),) = mono._packed.items()
@@ -261,7 +254,7 @@ class LaurentPoly:
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.const(self.table, other)
-        return self + (-other)
+        return self._add_monomial_times(LaurentPoly.const(self.table, -1), other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 Partition = tuple  # tuple[int, ...], weakly decreasing, positive entries
 
@@ -118,7 +118,6 @@ def _gen(n: int, max_part: int, free: int, cap: int) -> Iterator[Partition]:
 
 
 def enumerate_partitions(n: int,
-                         max_height: Optional[int] = None,
                          in_hook=None,
                          typical=None,
                          self_conjugate: bool = False) -> list[Partition]:
@@ -128,6 +127,7 @@ def enumerate_partitions(n: int,
     for golden-file tests.  `in_hook` and `typical` take Hook or (k, l).
     A hook prunes the generation: every part after the k-th is at most l,
     which is hook membership, and a typical partition lies in its hook.
+    At most k parts is the hook (k, 0): `in_hook=(k, 0)`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -135,8 +135,6 @@ def enumerate_partitions(n: int,
     free, cap = (n, 0) if bound is None else as_hook(bound)
     out = []
     for lam in _gen(n, n, free, cap):
-        if max_height is not None and len(lam) > max_height:
-            continue
         if typical is not None and not is_typical(lam, typical):
             continue
         if self_conjugate and not is_self_conjugate(lam):

@@ -77,18 +77,11 @@ def expand_product(factors: Sequence[Factor], shift: int, D: int,
     return TruncatedSeries(var, D, tuple(c))
 
 
-def u2_factorial_factors(j: int) -> list[Factor]:
-    """[u^2]_j = prod_{i=1}^j (1 - u^{2i}) as a factor list."""
-    return [(-1, 2 * i, 1) for i in range(1, j + 1)]
-
-
-def gf_partitions(D: int, max_height: Optional[int] = None, in_hook=None,
-                  typical=None, self_conjugate: bool = False,
-                  var: str = "u") -> TruncatedSeries:
+def gf_partitions(D: int, in_hook=None, typical=None,
+                  self_conjugate: bool = False, var: str = "u") -> TruncatedSeries:
     """Coefficient of u^n = number of partitions of n meeting the
     constraints, by direct enumeration."""
-    coeffs = tuple(len(enumerate_partitions(n, max_height=max_height,
-                                            in_hook=in_hook, typical=typical,
+    coeffs = tuple(len(enumerate_partitions(n, in_hook=in_hook, typical=typical,
                                             self_conjugate=self_conjugate))
                    for n in range(D + 1))
     return TruncatedSeries(var, D, coeffs)

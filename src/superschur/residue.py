@@ -13,8 +13,8 @@ Every integral is therefore one dot product of f against Delta's
 expansion on a box |e_i| <= R covering f's reach, built once per hook by
 absorbing the factors into the Delta numerator and grown only when a
 larger reach arrives.  `constant_term_with_delta` keeps the per-integrand
-expansion as the oracle: an int `slack` widens its windows and selects it,
-and results must agree with the kernel for every slack.
+expansion as the reference, inside windows widened by `slack`; the tests
+check that the kernel agrees with it for every slack.
 """
 
 from __future__ import annotations
@@ -146,21 +146,20 @@ def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     return sum(c * get(key, 0) for key, c in a.items())
 
 
-def _integral(f: LaurentPoly, h, slack: int | None) -> int:
-    """(k! l!)^-1 x constant term of f * Delta, which must be exact: by the
-    kernel when `slack` is None, by the windowed oracle otherwise."""
+def _integral(f: LaurentPoly, h) -> int:
+    """(k! l!)^-1 x constant term of f * Delta by the kernel, which must be
+    exact."""
     h = as_hook(h)
-    ct = constant_term_by_kernel(f, h) if slack is None \
-        else constant_term_with_delta(f, h, slack)
-    return exact_quotient(ct, factorial(h.k) * factorial(h.l),
+    return exact_quotient(constant_term_by_kernel(f, h),
+                          factorial(h.k) * factorial(h.l),
                           "constant term over k! l! (expansion bug)")
 
 
-def inner_product(f: LaurentPoly, g: LaurentPoly, h, slack: int | None = None) -> int:
+def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
     """<f, g> = (k! l!)^-1 x constant term of f(X;Y) g(X^-1;Y^-1) Delta."""
     if f.table != g.table:
         raise ValueError("variable table mismatch")
-    return _integral(f * g.invert_variables(), h, slack)
+    return _integral(f * g.invert_variables(), h)
 
 
 def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
@@ -191,12 +190,12 @@ def hs_on_z(lam: Partition, h) -> LaurentPoly:
     return hook_schur_eval(tuple(lam), *z_alphabets(h)[1:])
 
 
-def m_prime_residue(lam: Partition, h, slack: int | None = None) -> int:
+def m_prime_residue(lam: Partition, h) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump."""
-    return _integral(hs_on_z(lam, h), h, slack)
+    return _integral(hs_on_z(lam, h), h)
 
 
-def m_bar_prime_residue(lam: Partition, h, slack: int | None = None) -> int:
-    """Same integral with the extra factor sum_{z in Z0 u Z1} z."""
-    _, z0, z1 = z_alphabets(h)
-    return _integral(hs_on_z(lam, h) * (z0.sum_poly() + z1.sum_poly()), h, slack)
+def m_bar_prime_residue(lam: Partition, h) -> int:
+    """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
+    HS_(1)(Z0;Z1)."""
+    return _integral(hs_on_z(lam, h) * hs_on_z((1,), h), h)

@@ -15,8 +15,9 @@ from superschur.poincare import (check_derivative_relation, p_series,
                                  univariate_coefficients)
 from superschur.qseries import (TruncatedSeries, check_limit_identity,
                                 closed_form_series, gf_partitions)
-from superschur.residue import (inner_product, m_bar_prime_residue,
-                                m_prime_residue, residue_table)
+from superschur.residue import (constant_term_by_kernel, constant_term_with_delta,
+                                hs_on_z, inner_product, m_bar_prime_residue,
+                                m_prime_residue, residue_table, z_alphabets)
 
 D10 = 10
 
@@ -245,16 +246,16 @@ def test_10_limit_identities():
 
 
 def test_11_truncation_stability():
-    ok = True
-    for h in JUMP_HOOKS:
-        for lam in _shapes(6):
-            ok = ok and m_prime_residue(lam, h, slack=1) == m_prime_residue(lam, h)
-    for h in ODD_RESIDUE_HOOKS:
-        for d in range(D10 + 1):
-            lam = (1,) * d
-            ok = ok and m_prime_residue(lam, h, slack=1) == m_prime_residue(lam, h)
+    # the oracle expansion with widened windows against the kernel, on the
+    # integrands of m_prime_residue and m_bar_prime_residue
+    def stable(f, h) -> bool:
+        return constant_term_with_delta(f, h, 1) == constant_term_by_kernel(f, h)
+
+    ok = all(stable(hs_on_z(lam, h), h) for h in JUMP_HOOKS for lam in _shapes(6))
+    ok = ok and all(stable(hs_on_z((1,) * d, h), h)
+                    for h in ODD_RESIDUE_HOOKS for d in range(D10 + 1))
     for h in [(1, 1), (2, 1)]:
-        for lam in _shapes(5):
-            ok = ok and (m_bar_prime_residue(lam, h, slack=1)
-                         == m_bar_prime_residue(lam, h))
+        _, z0, z1 = z_alphabets(h)
+        bar = z0.sum_poly() + z1.sum_poly()
+        ok = ok and all(stable(hs_on_z(lam, h) * bar, h) for lam in _shapes(5))
     _verdict("every residue value is stable under widened truncation windows", ok)

@@ -31,9 +31,9 @@ def _sym(table, name):
 
 def test_schur_matches_tableaux():
     for n in range(6):
-        for lam in enumerate_partitions(n, max_height=2):
+        for lam in enumerate_partitions(n, in_hook=(2, 0)):
             assert schur_eval(lam, X22) == schur_by_tableaux(lam, X22)
-        for lam in enumerate_partitions(n, max_height=1):
+        for lam in enumerate_partitions(n, in_hook=(1, 0)):
             assert schur_eval(lam, Y21) == schur_by_tableaux(lam, Y21)
 
 
@@ -86,7 +86,7 @@ def test_duality_conjugate_swap():
 def test_specializes_to_schur():
     empty = Alphabet.empty(T22)
     for n in range(6):
-        for lam in enumerate_partitions(n, max_height=2):
+        for lam in enumerate_partitions(n, in_hook=(2, 0)):
             assert hook_schur_eval(lam, X22, empty) == schur_eval(lam, X22)
 
 

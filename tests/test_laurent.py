@@ -217,18 +217,35 @@ def test_product_past_limit_raises():
         ((f + 1) * X) * (f + Y)
 
 
-MONOMIALS = st.builds(
-    lambda c, e: LaurentPoly.monomial(TABLE2, c, e),
-    st.integers(min_value=-5, max_value=5).filter(bool),
-    st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3)))
+MONOMIALS = st.one_of(
+    # the constants 1 and -1 are what `+` and `-` pass
+    st.sampled_from([1, -1]).map(lambda c: LaurentPoly.const(TABLE2, c)),
+    st.builds(
+        lambda c, e: LaurentPoly.monomial(TABLE2, c, e),
+        st.integers(min_value=-5, max_value=5).filter(bool),
+        st.tuples(st.integers(min_value=-3, max_value=3),
+                  st.integers(min_value=-3, max_value=3))))
+
+
+def tuple_add_product(f: LaurentPoly, mono: LaurentPoly, g: LaurentPoly) -> dict:
+    """Reference f + mono * g on tuple-keyed terms."""
+    out = dict(f.terms.items())
+    for e, c in tuple_product(dict(mono.terms.items()), dict(g.terms.items())).items():
+        out[e] = out.get(e, 0) + c
+    return nonzero(out)
 
 
 @given(laurent_polys(), MONOMIALS, laurent_polys())
 def test_add_monomial_times_matches_product(f, mono, g):
     got = f._add_monomial_times(mono, g)
-    want = f + mono * g
-    assert got == want
-    assert got.reach == want.reach
+    assert dict(got.terms.items()) == tuple_add_product(f, mono, g)
+    assert got.reach == max(f.reach, mono.reach + g.reach)
+    # an int operand of + and - is the constant polynomial
+    one, minus_one, three = (LaurentPoly.const(TABLE2, c) for c in (1, -1, 3))
+    assert dict((f + 3).terms.items()) == tuple_add_product(f, one, three)
+    assert dict((3 + f).terms.items()) == tuple_add_product(f, one, three)
+    assert dict((f - 3).terms.items()) == tuple_add_product(f, minus_one, three)
+    assert dict((3 - f).terms.items()) == tuple_add_product(three, minus_one, f)
 
 
 def test_add_monomial_times_full_cancellation():

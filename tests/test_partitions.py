@@ -46,7 +46,7 @@ def test_typical_implies_outside_smaller_hook():
 
 
 def test_enumerate_examples():
-    assert enumerate_partitions(4, max_height=2) == [(4,), (3, 1), (2, 2)]
+    assert enumerate_partitions(4, in_hook=(2, 0)) == [(4,), (3, 1), (2, 2)]
     assert enumerate_partitions(8, self_conjugate=True) == [(4, 2, 1, 1), (3, 3, 2)]
     assert len(enumerate_partitions(4, typical=(1, 1))) == 4
     assert enumerate_partitions(0) == [()]

@@ -4,8 +4,7 @@ import pytest
 
 from superschur.qseries import (CLOSED_FORM_DEGREE, TruncatedSeries,
                                 check_limit_identity, closed_form_series, expand_product,
-                                gf_partitions, qidentities_suite,
-                                u2_factorial_factors)
+                                gf_partitions, qidentities_suite)
 
 
 def test_series_arithmetic():
@@ -96,13 +95,8 @@ def test_expand_product_is_partition_gf():
     assert expand_product(factors, 0, D) == gf_partitions(D)
 
 
-def test_u2_factorial_factors():
-    assert u2_factorial_factors(2) == [(-1, 2, 1), (-1, 4, 1)]
-    assert u2_factorial_factors(0) == []
-
-
 def test_gf_partitions_constraints():
-    assert gf_partitions(6, max_height=2).coeffs == (1, 1, 2, 2, 3, 3, 4)
+    assert gf_partitions(6, in_hook=(2, 0)).coeffs == (1, 1, 2, 2, 3, 3, 4)
     assert gf_partitions(8, self_conjugate=True).coeffs == (1, 1, 0, 1, 1, 1, 1, 1, 2)
 
 

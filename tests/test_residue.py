@@ -110,12 +110,14 @@ def test_table_hook_mismatch_rejected():
 
 
 def test_slack_independence():
+    # the oracle with widened windows against the kernel every integral uses
     for h in [(1, 1), (2, 1)]:
         for n in range(4):
             for lam in enumerate_partitions(n):
-                base = m_prime_residue(lam, h)
-                assert m_prime_residue(lam, h, slack=1) == base
-                assert m_prime_residue(lam, h, slack=2) == base
+                f = hs_on_z(lam, h)
+                base = constant_term_by_kernel(f, h)
+                assert constant_term_with_delta(f, h, 1) == base
+                assert constant_term_with_delta(f, h, 2) == base
 
 
 SLACK_HOOKS = [(1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
@@ -159,6 +161,13 @@ def test_kernel_matches_oracle_on_hook_schur_values(h):
         for lam in enumerate_partitions(n):
             f = hs_on_z(lam, h)
             assert constant_term_by_kernel(f, h) == constant_term_with_delta(f, h), lam
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_bar_factor_is_hook_schur_of_one_box(h):
+    # m_bar_prime_residue takes sum_{z in Z0 u Z1} z as the memoised HS_(1)
+    _, z0, z1 = z_alphabets(h)
+    assert hs_on_z((1,), h) == z0.sum_poly() + z1.sum_poly()
 
 
 def test_kernel_independent_of_growth_order():
