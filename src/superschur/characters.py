@@ -10,7 +10,8 @@ chi^lam(rho)} of the nonzero values; the column of rho extends that of
 rho minus its last part, so one memo serves every n.  A hook multiplicity
 is one inner product of class functions: m_lam(h) = (1/n!) sum_rho
 chi^lam(rho) w_h(rho), with the weight w_h(rho) = |C_rho| sum_{mu in h,
-|mu| = n} chi^mu(rho)^2 computed once per (n, h).
+|mu| = n} chi^mu(rho)^2 computed once per (n, h); the Poincare series
+reads the same weights against power sums.
 """
 
 from __future__ import annotations
@@ -126,19 +127,22 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def _hook_weights(n: int, h: Hook) -> tuple:
-    """Pairs (column of rho, w_h(rho)) over the classes of S_n with a
-    nonzero weight."""
+    """Triples (rho, column of rho, w_h(rho)) over the classes of S_n with
+    a nonzero weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
+    chi^mu(rho)^2.  `m_lambda` reads the columns; the Poincare series
+    reads rho, since sum_lam m_lam(h) s_lam = (1/n!) sum_rho w_h(rho) p_rho
+    (Macdonald I.7)."""
     hit = _MEMO.weights.get((n, h))
     if hit is not None:
         return hit
     masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
-    pairs = []
+    triples = []
     for rho in partitions_of(n):
         col = _column(rho)
         w = sum(col.get(m, 0) ** 2 for m in masks)
         if w:
-            pairs.append((col, class_size(rho) * w))
-    _MEMO.weights[n, h] = tuple(pairs)
+            triples.append((rho, col, class_size(rho) * w))
+    _MEMO.weights[n, h] = tuple(triples)
     return _MEMO.weights[n, h]
 
 
@@ -150,7 +154,7 @@ def m_lambda(lam: Partition, h) -> int:
     if n == 0:
         return 1
     mask = _mask(lam)
-    total = sum(col.get(mask, 0) * w for col, w in _hook_weights(n, h))
+    total = sum(col.get(mask, 0) * w for _, col, w in _hook_weights(n, h))
     return exact_quotient(total, factorial(n), "class sum for a hook multiplicity")
 
 

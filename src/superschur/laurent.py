@@ -138,7 +138,8 @@ class LaurentPoly:
 
     Treat instances as immutable; all arithmetic returns new objects.
     `_packed` maps packed exponent keys to coefficients; `residue` reads
-    it directly for its constant-term extraction.
+    it directly for its constant-term extraction, and `poincare` to add
+    power-sum products into its class sums.
     """
 
     __slots__ = ("table", "_packed", "reach")

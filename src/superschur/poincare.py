@@ -2,13 +2,23 @@
 verifications: the residue/character agreement for the multiplicity jump,
 the diagonal summation identities, and the derivative relations linking
 the invariant and concomitant series.
+
+A series whose multiplicities are character sums is assembled by power
+sums, with no per-lam term: since m_lam(h) = (1/N!) sum_rho chi^lam(rho)
+w_h(rho) and sum_lam chi^lam(rho) s_lam = p_rho (Macdonald, Symmetric
+Functions and Hall Polynomials, I.7), the degree-N part of sum_lam m_lam
+HS_lam(T;U) is (1/N!) sum_{rho |- N} w_h(rho) p_rho(T;U), with the super
+power sums p_r(T;U) = sum t^r + (-1)^(r-1) sum u^r.  Only the residue
+jumps are summed per lam.
 """
 
 from __future__ import annotations
 
-from .characters import m_bar_lambda, m_lambda
+from math import factorial
+
+from .characters import _hook_weights, m_bar_lambda, m_lambda
 from .hookschur import Alphabet, hook_schur_eval
-from .laurent import LaurentPoly, VarTable
+from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
 from .residue import m_bar_prime_residue, m_prime_residue
 
@@ -54,8 +64,11 @@ def p_series(mode: str, h, n: int, m: int, D: int,
              route: str = "residue") -> LaurentPoly:
     """Sum over |lam| <= D of multiplicity(lam) * HS_lam(t_1..t_n; u_1..u_m).
 
-    Only lam inside the (n, m) hook can contribute (the hook theorem), so
-    the sweep is restricted to them.  All sums are finite and exact.
+    `plain` and `bar`, and every mode on the "char" route, are character
+    sums and are assembled by power sums (`_frobenius_series`).  Only
+    `prime` and `bar_prime` on the "residue" route sum the integrals per
+    lam, over the lam inside the (n, m) hook, since no other HS_lam(T;U)
+    is nonzero (the hook theorem).  All sums are finite and exact.
     """
     h = as_hook(h)
     _check_choice(mode, route)
@@ -67,6 +80,8 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     if D < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {D}")
     table = series_table(n, m)
+    if route == "char" or mode in ("plain", "bar"):
+        return _frobenius_series(mode, h, table, n, D)
     T = Alphabet.symbols(table, table.names[:n])
     U = Alphabet.symbols(table, table.names[n:])
     total = LaurentPoly.zero(table)
@@ -76,6 +91,76 @@ def p_series(mode: str, h, n: int, m: int, D: int,
             if c:
                 total = total + hook_schur_eval(lam, T, U) * c
     return total
+
+
+def _class_weights(mode: str, h: Hook, N: int) -> dict:
+    """{rho: weight} over the classes of S_N for the character sums of
+    `mode`: w_h, less w_{h.shrink()} for a jump when min(k, l) > 0, as in
+    `multiplicity`."""
+    weights = {rho: w for rho, _, w in _hook_weights(N, h)}
+    if mode in ("prime", "bar_prime") and min(h.k, h.l) > 0:
+        for rho, _, w in _hook_weights(N, h.shrink()):
+            weights[rho] = weights.get(rho, 0) - w
+    return weights
+
+
+def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
+                      D: int) -> LaurentPoly:
+    """The series of a character-sum mode through degree D by power sums:
+    (1/N!) sum_{rho |- N} W(rho) p_rho(T;U) in each degree N, with the
+    first n variables of `table` as T and the rest as U.  The bar modes
+    take s_1^perp = d/dp_1, so a rho |- N ending in 1 adds m_1(rho) W(rho)
+    p_{rho minus one 1} to degree N - 1.  p_rho grows one part at a time
+    along a depth-first walk over the partitions of size <= D (D + 1 for
+    the bar modes), which holds only the chain of prefix products.  Each
+    class sum is divided by N! exactly."""
+    bar = mode.startswith("bar")
+    top = D + 1 if bar else D
+    weights = [_class_weights(mode, h, N) for N in range(top + 1)]
+    width = len(table)
+    power = [None]
+    for r in range(1, top + 1):
+        terms = {}
+        for i in range(width):
+            e = [0] * width
+            e[i] = r
+            terms[tuple(e)] = 1 if i < n or r % 2 else -1
+        power.append(LaurentPoly(table, terms))
+    sums = [{} for _ in range(top + 1)]  # class sums, by N = |rho|
+
+    def add(N: int, p: LaurentPoly, w: int) -> None:
+        acc = sums[N]
+        get = acc.get
+        for key, c in p._packed.items():
+            acc[key] = get(key, 0) + w * c
+
+    def walk(rho: tuple, size: int, p: LaurentPoly) -> None:
+        # p = p_rho; children append a part r <= rho's last one
+        for r in range(min(rho[-1] if rho else top, top - size), 0, -1):
+            child, N = rho + (r,), size + r
+            w = weights[N].get(child)
+            if bar:
+                if w and r == 1:
+                    add(N, p, w * (len(child) - child.index(1)))
+                if N < top:
+                    walk(child, N, p * power[r])
+            else:
+                grown = p * power[r]
+                if w:
+                    add(N, grown, w)
+                walk(child, N, grown)
+
+    one = LaurentPoly.const(table, 1)
+    if not bar:
+        add(0, one, weights[0].get((), 0))
+    walk((), 0, one)
+    terms = {}
+    for N, acc in enumerate(sums):
+        for key, c in acc.items():
+            if c:
+                terms[key] = exact_quotient(
+                    c, factorial(N), "class sum for a Poincare coefficient")
+    return LaurentPoly._from_packed(table, terms, D)
 
 
 def univariate_coefficients(series: LaurentPoly, D: int) -> list[int]:

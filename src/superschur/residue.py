@@ -24,7 +24,7 @@ from math import factorial
 
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
-from .partitions import Partition, as_hook
+from .partitions import Hook, Partition, as_hook
 
 def residue_table(h) -> VarTable:
     h = as_hook(h)
@@ -164,8 +164,13 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
 
 def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
     """The monomial multisets Z0 = X X^-1 u Y Y^-1 (size k^2 + l^2,
-    including k + l unit monomials) and Z1 = X Y^-1 u X^-1 Y (size 2kl)."""
-    h = as_hook(h)
+    including k + l unit monomials) and Z1 = X Y^-1 u X^-1 Y (size 2kl).
+    Built once per hook: (k, l) and Hook(k, l) share one entry."""
+    return _z_alphabets(as_hook(h))
+
+
+@lru_cache(maxsize=None)
+def _z_alphabets(h: Hook) -> tuple[VarTable, Alphabet, Alphabet]:
     k, ell = h.k, h.l
     table = residue_table(h)
     n = len(table)

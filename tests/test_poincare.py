@@ -1,6 +1,9 @@
 import pytest
 
-from superschur.characters import m_bar_lambda, m_lambda
+from superschur import characters, poincare
+from superschur.characters import _hook_weights, default_cache, m_bar_lambda, m_lambda
+from superschur.hookschur import Alphabet, hook_schur_eval
+from superschur.laurent import InexactError, LaurentPoly
 from superschur.partitions import Hook, enumerate_partitions
 from superschur.poincare import (MODES, ROUTES, budzik_cases, budzik_suite,
                                  check_derivative_relation, lemmas_suite,
@@ -156,3 +159,54 @@ def test_derivative_relations():
         for primed in (False, True):
             ok, report = check_derivative_relation(h, 1, 4, primed, route="char")
             assert ok, report
+
+
+def _per_lambda_series(mode, h, n, m, D):
+    # the character assembly before power sums: one multiplicity and one
+    # Jacobi-Trudi determinant per lam in the (n, m) hook
+    table = series_table(n, m)
+    T = Alphabet.symbols(table, table.names[:n])
+    U = Alphabet.symbols(table, table.names[n:])
+    total = LaurentPoly.zero(table)
+    for d in range(D + 1):
+        for lam in enumerate_partitions(d, in_hook=(n, m)):
+            c = multiplicity(mode, lam, h, "char")
+            if c:
+                total = total + hook_schur_eval(lam, T, U) * c
+    return total
+
+
+# (n, m) -> D, about 1 s over the four modes
+ORACLE_DEGREES = {(1, 0): 14, (0, 1): 14, (2, 0): 11, (1, 1): 10, (3, 0): 10, (2, 1): 9}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_p_series_char_equals_per_lambda_oracle(mode):
+    for h in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]:
+        for (n, m), D in ORACLE_DEGREES.items():
+            got = p_series(mode, h, n, m, D, route="char")
+            assert got == _per_lambda_series(mode, h, n, m, D), (mode, h, n, m, D)
+
+
+def test_p_series_class_sums_are_checked_exact(monkeypatch):
+    # one weight off by 1 leaves its class sum indivisible by 3!
+    h = Hook(1, 1)
+    triples = list(_hook_weights(3, h))
+    rho, col, w = triples[0]
+    triples[0] = (rho, col, w + 1)
+    monkeypatch.setitem(default_cache().weights, (3, h), tuple(triples))
+    for mode in ("plain", "prime"):
+        with pytest.raises(InexactError, match="Poincare"):
+            p_series(mode, h, 1, 0, 3, route="char")
+
+
+def test_character_series_take_no_per_lambda_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-lambda path taken")
+    for owner, name in ((poincare, "hook_schur_eval"), (poincare, "m_lambda"),
+                        (poincare, "m_bar_lambda"), (characters, "m_lambda")):
+        monkeypatch.setattr(owner, name, refuse)
+    for mode in MODES:
+        assert not p_series(mode, (2, 1), 2, 1, 6, route="char").is_zero()
+    for mode in ("plain", "bar"):
+        assert not p_series(mode, (2, 1), 2, 1, 6, route="residue").is_zero()

@@ -57,6 +57,16 @@ def test_z_alphabet_shapes():
         assert bag == sorted(tuple(-a for a in e) for _, e in z0.monos)
 
 
+def test_z_alphabets_built_once_per_hook():
+    # a tuple and a Hook name one memo entry, so hs_on_z hashes the same
+    # alphabet objects on every call
+    for k, l in [(1, 1), (2, 1), (2, 2)]:
+        first = z_alphabets((k, l))
+        again = z_alphabets(Hook(k, l))
+        assert len(first) == len(again) == 3
+        assert all(a is b for a, b in zip(first, again))
+
+
 def test_hook_schur_orthonormality_typical():
     # <HS_mu, HS_nu> = 1 if mu = nu and both typical, else 0
     for h in [(1, 1), (2, 1)]:
