@@ -7,11 +7,12 @@ multiplying in one p_r at a time, and p_r s_mu adds every border strip of
 size r to mu with sign (-1)^(height - 1) (Macdonald, Symmetric Functions
 and Hall Polynomials, I.7).  A column is a dict {beta-set bitmask of lam:
 chi^lam(rho)} of the nonzero values; the column of rho extends that of
-rho minus its last part, so one memo serves every n.  A hook multiplicity
-is one inner product of class functions: m_lam(h) = (1/n!) sum_rho
-chi^lam(rho) w_h(rho), with the weight w_h(rho) = |C_rho| sum_{mu in h,
-|mu| = n} chi^mu(rho)^2 computed once per (n, h); the Poincare series
-reads the same weights against power sums.
+rho minus its last part, so one memo serves every n.  Each multiplicity
+mode is one class function V of S_N (`class_weights`), built from the hook
+weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2, which is
+computed once per (n, h).  A multiplicity is one inner product,
+(1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the bar modes, and
+the Poincare series reads the same V against power sums.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from math import factorial
 
 from .laurent import exact_quotient
-from .partitions import (Hook, Partition, add_box_successors, as_hook,
-                         enumerate_partitions, partitions_of)
+from .partitions import (Hook, Partition, as_hook, enumerate_partitions,
+                         partitions_of)
 
 
 class _Memo:
@@ -34,7 +35,7 @@ class _Memo:
         self.chi: dict[tuple, dict[int, int]] = {}
         self.kron: dict[tuple, int] = {}
         self.masks: dict[int, int] = {}
-        self.weights: dict[tuple, tuple] = {}
+        self.weights: dict[tuple, dict] = {}
 
 
 _MEMO = _Memo()
@@ -126,45 +127,68 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return g
 
 
-def _hook_weights(n: int, h: Hook) -> tuple:
-    """Triples (rho, column of rho, w_h(rho)) over the classes of S_n with
-    a nonzero weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
-    chi^mu(rho)^2.  `m_lambda` reads the columns; the Poincare series
-    reads rho, since sum_lam m_lam(h) s_lam = (1/n!) sum_rho w_h(rho) p_rho
-    (Macdonald I.7)."""
+def _hook_weights(n: int, h: Hook) -> dict:
+    """{rho: w_h(rho)} over the classes of S_n with a nonzero weight
+    w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2.  No column
+    is built when no mu of size n lies in h."""
     hit = _MEMO.weights.get((n, h))
     if hit is not None:
         return hit
     masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
-    triples = []
-    for rho in partitions_of(n):
+    weights = {}
+    for rho in partitions_of(n) if masks else ():
         col = _column(rho)
         w = sum(col.get(m, 0) ** 2 for m in masks)
         if w:
-            triples.append((rho, col, class_size(rho) * w))
-    _MEMO.weights[n, h] = tuple(triples)
-    return _MEMO.weights[n, h]
+            weights[rho] = class_size(rho) * w
+    _MEMO.weights[n, h] = weights
+    return weights
+
+
+def class_weights(mode: str, h: Hook, N: int) -> dict:
+    """The class function of a multiplicity mode: {rho |- N: V(rho)} over
+    the nonzero values, read-only, such that sum_{lam |- N} mult(lam) s_lam
+    = (1/(N + b)!) sum_rho V(rho) p_rho, with b = 1 for the bar modes.
+
+    V is w_h, less w_{h.shrink()} for a jump when min(k, l) > 0.  The bar
+    modes restrict one S_n level down, s_1^perp = d/dp_1 (the branching
+    rule), so V(rho) = m_1(rho + 1) W(rho + 1), where rho + 1 is rho with
+    one more part 1 and W is the weight of the mode without its bar."""
+    bar = mode.startswith("bar")
+    weights = _hook_weights(N + bar, h)
+    if mode.endswith("prime") and min(h.k, h.l) > 0:
+        # both weights are sums of squares and H(k-1, l-1) lies in H(k, l),
+        # so the smaller hook's weight vanishes wherever w_h does
+        small = _hook_weights(N + bar, h.shrink())
+        weights = {rho: w - small.get(rho, 0) for rho, w in weights.items()}
+    if bar:
+        weights = {rho[:-1]: rho.count(1) * w for rho, w in weights.items()
+                   if rho[-1] == 1}
+    return {rho: v for rho, v in weights.items() if v}
+
+
+def char_multiplicity(mode: str, lam: Partition, h) -> int:
+    """The multiplicity of lam that `mode` names, as a character sum:
+    (1/(|lam| + b)!) sum_rho chi^lam(rho) V(rho) with V = `class_weights`."""
+    lam = tuple(lam)
+    N = sum(lam)
+    mask = _mask(lam)
+    total = sum(_column(rho).get(mask, 0) * v
+                for rho, v in class_weights(mode, as_hook(h), N).items())
+    return exact_quotient(total, factorial(N + mode.startswith("bar")),
+                          "class sum for a hook multiplicity")
 
 
 def m_lambda(lam: Partition, h) -> int:
     """Sum of gamma^lam_{mu,mu} over mu of the same size in the hook."""
-    h = as_hook(h)
-    lam = tuple(lam)
-    n = sum(lam)
-    if n == 0:
-        return 1
-    mask = _mask(lam)
-    total = sum(col.get(mask, 0) * w for _, col, w in _hook_weights(n, h))
-    return exact_quotient(total, factorial(n), "class sum for a hook multiplicity")
+    return char_multiplicity("plain", lam, h)
 
 
 def m_bar_lambda(lam: Partition, h) -> int:
-    """Multiplicity after restricting the hook tensor sum down one S_n level.
-
-    Realized through the branching rule: sum of m over all one-box
-    extensions of lam.
-    """
-    return sum(m_lambda(lp, h) for lp in add_box_successors(lam))
+    """Multiplicity after restricting the hook tensor sum down one S_n
+    level: by the branching rule, the sum of m_lambda over all one-box
+    extensions of lam."""
+    return char_multiplicity("bar", lam, h)
 
 
 def dimension(lam: Partition) -> int:

@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = suites.add_parser("lemmas", help="bar jumps and derivative slices")
     p.add_argument("--max-size", type=_at_least(0), default=4)
     p.add_argument("--hooks", type=_parse_hooks, default=(Hook(1, 1),))
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--degree", type=_at_least(1), default=4)
     add_common(p, formats=("text", "json"))
 
     p = suites.add_parser("qidentities",

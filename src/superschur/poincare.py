@@ -4,19 +4,20 @@ the diagonal summation identities, and the derivative relations linking
 the invariant and concomitant series.
 
 A series whose multiplicities are character sums is assembled by power
-sums, with no per-lam term: since m_lam(h) = (1/N!) sum_rho chi^lam(rho)
-w_h(rho) and sum_lam chi^lam(rho) s_lam = p_rho (Macdonald, Symmetric
-Functions and Hall Polynomials, I.7), the degree-N part of sum_lam m_lam
-HS_lam(T;U) is (1/N!) sum_{rho |- N} w_h(rho) p_rho(T;U), with the super
-power sums p_r(T;U) = sum t^r + (-1)^(r-1) sum u^r.  Only the residue
-jumps are summed per lam.
+sums, with no per-lam term: each mode's multiplicity is (1/(N+b)!)
+sum_rho chi^lam(rho) V(rho) for the one class function V of
+`characters.class_weights`, and sum_lam chi^lam(rho) s_lam = p_rho
+(Macdonald, Symmetric Functions and Hall Polynomials, I.7), so the
+degree-N part of sum_lam mult(lam) HS_lam(T;U) is (1/(N+b)!) sum_{rho |- N}
+V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
+(-1)^(r-1) sum u^r.  Only the residue jumps are summed per lam.
 """
 
 from __future__ import annotations
 
 from math import factorial
 
-from .characters import _hook_weights, m_bar_lambda, m_lambda
+from .characters import char_multiplicity, class_weights
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
@@ -41,23 +42,17 @@ def _check_choice(mode: str, route: str) -> None:
 def multiplicity(mode: str, lam: Partition, h, route: str = "residue") -> int:
     """The multiplicity of lam in the hook h that `mode` names.
 
-    `plain` and `bar` are m_lambda and m_bar_lambda, character sums on
-    either route.  The jumps `prime` and `bar_prime` against the next
-    smaller hook take the route: "residue" is the constant-term integral,
-    "char" the difference m(lam, h) - m(lam, h.shrink()) of those sums,
-    with the subtrahend 0 when no smaller hook exists (min(k, l) = 0).
+    `plain` and `bar` are character sums on either route.  The jumps
+    `prime` and `bar_prime` against the next smaller hook take the route:
+    "residue" is the constant-term integral, "char" the character sum.
+    Every character sum is `characters.char_multiplicity`.
     """
     _check_choice(mode, route)
     h = as_hook(h)
-    m = m_bar_lambda if mode.startswith("bar") else m_lambda
-    if mode in ("plain", "bar"):
-        return m(lam, h)
-    if route == "residue":
-        return m_prime_residue(lam, h) if mode == "prime" \
-            else m_bar_prime_residue(lam, h)
-    if min(h.k, h.l) == 0:
-        return m(lam, h)
-    return m(lam, h) - m(lam, h.shrink())
+    if mode in ("plain", "bar") or route == "char":
+        return char_multiplicity(mode, lam, h)
+    return m_prime_residue(lam, h) if mode == "prime" \
+        else m_bar_prime_residue(lam, h)
 
 
 def p_series(mode: str, h, n: int, m: int, D: int,
@@ -65,10 +60,11 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     """Sum over |lam| <= D of multiplicity(lam) * HS_lam(t_1..t_n; u_1..u_m).
 
     `plain` and `bar`, and every mode on the "char" route, are character
-    sums and are assembled by power sums (`_frobenius_series`).  Only
-    `prime` and `bar_prime` on the "residue" route sum the integrals per
-    lam, over the lam inside the (n, m) hook, since no other HS_lam(T;U)
-    is nonzero (the hook theorem).  All sums are finite and exact.
+    sums and are assembled by power sums from the mode's one class
+    function (`_frobenius_series`).  Only `prime` and `bar_prime` on the
+    "residue" route sum the integrals per lam, over the lam inside the
+    (n, m) hook, since no other HS_lam(T;U) is nonzero (the hook theorem).
+    All sums are finite and exact.
     """
     h = as_hook(h)
     _check_choice(mode, route)
@@ -93,30 +89,17 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     return total
 
 
-def _class_weights(mode: str, h: Hook, N: int) -> dict:
-    """{rho: weight} over the classes of S_N for the character sums of
-    `mode`: w_h, less w_{h.shrink()} for a jump when min(k, l) > 0, as in
-    `multiplicity`."""
-    weights = {rho: w for rho, _, w in _hook_weights(N, h)}
-    if mode in ("prime", "bar_prime") and min(h.k, h.l) > 0:
-        for rho, _, w in _hook_weights(N, h.shrink()):
-            weights[rho] = weights.get(rho, 0) - w
-    return weights
-
-
 def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
                       D: int) -> LaurentPoly:
     """The series of a character-sum mode through degree D by power sums:
-    (1/N!) sum_{rho |- N} W(rho) p_rho(T;U) in each degree N, with the
-    first n variables of `table` as T and the rest as U.  The bar modes
-    take s_1^perp = d/dp_1, so a rho |- N ending in 1 adds m_1(rho) W(rho)
-    p_{rho minus one 1} to degree N - 1.  p_rho grows one part at a time
-    along a depth-first walk over the partitions of size <= D (D + 1 for
-    the bar modes), which holds only the chain of prefix products.  Each
-    class sum is divided by N! exactly."""
-    bar = mode.startswith("bar")
-    top = D + 1 if bar else D
-    weights = [_class_weights(mode, h, N) for N in range(top + 1)]
+    (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N, with V
+    from `class_weights` and the first n variables of `table` as T and the
+    rest as U.  p_rho grows one part at a time along a depth-first walk
+    over the partitions of size up to the last degree with a nonzero
+    weight, which holds only the chain of prefix products.  Each class sum
+    is divided by (N+b)! exactly."""
+    weights = [class_weights(mode, h, N) for N in range(D + 1)]
+    top = max((N for N, v in enumerate(weights) if v), default=0)
     width = len(table)
     power = [None]
     for r in range(1, top + 1):
@@ -128,38 +111,25 @@ def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
         power.append(LaurentPoly(table, terms))
     sums = [{} for _ in range(top + 1)]  # class sums, by N = |rho|
 
-    def add(N: int, p: LaurentPoly, w: int) -> None:
-        acc = sums[N]
-        get = acc.get
-        for key, c in p._packed.items():
-            acc[key] = get(key, 0) + w * c
-
     def walk(rho: tuple, size: int, p: LaurentPoly) -> None:
         # p = p_rho; children append a part r <= rho's last one
+        w = weights[size].get(rho)
+        if w:
+            acc = sums[size]
+            get = acc.get
+            for key, c in p._packed.items():
+                acc[key] = get(key, 0) + w * c
         for r in range(min(rho[-1] if rho else top, top - size), 0, -1):
-            child, N = rho + (r,), size + r
-            w = weights[N].get(child)
-            if bar:
-                if w and r == 1:
-                    add(N, p, w * (len(child) - child.index(1)))
-                if N < top:
-                    walk(child, N, p * power[r])
-            else:
-                grown = p * power[r]
-                if w:
-                    add(N, grown, w)
-                walk(child, N, grown)
+            walk(rho + (r,), size + r, p * power[r])
 
-    one = LaurentPoly.const(table, 1)
-    if not bar:
-        add(0, one, weights[0].get((), 0))
-    walk((), 0, one)
+    walk((), 0, LaurentPoly.const(table, 1))
+    b = mode.startswith("bar")
     terms = {}
     for N, acc in enumerate(sums):
         for key, c in acc.items():
             if c:
                 terms[key] = exact_quotient(
-                    c, factorial(N), "class sum for a Poincare coefficient")
+                    c, factorial(N + b), "class sum for a Poincare coefficient")
     return LaurentPoly._from_packed(table, terms, D)
 
 
@@ -179,7 +149,7 @@ def verify_budzik(lam: Partition, h) -> dict:
     # the i = 0 term of the diagonal sum is lhs itself
     diag = lhs + sum(multiplicity("prime", lam, Hook(h.k - i, h.l - i))
                      for i in range(1, min(h.k, h.l) + 1))
-    m_direct = m_lambda(lam, h)
+    m_direct = multiplicity("plain", lam, h)
     ok = (lhs == rhs) and (diag == m_direct)
     return {"lambda": list(lam), "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
             "pass": ok, "eq_a_lhs": m_direct, "eq_a_rhs": diag}

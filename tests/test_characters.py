@@ -236,12 +236,22 @@ def test_m_lambda_vanishes_outside_big_hook():
 
 
 def test_m_bar_lambda_is_successor_sum():
+    # the branching rule, summed over the one-box extensions of lam, is the
+    # oracle for the bar class function; the bar jump is its difference
+    # against the next smaller hook
     from superschur.partitions import add_box_successors
-    for h in [(1, 1), (2, 1)]:
-        for n in range(5):
+    from superschur.poincare import multiplicity
+    for h in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1)]:
+        smaller = (h[0] - 1, h[1] - 1) if min(h) > 0 else None
+        for n in range(7):
             for lam in enumerate_partitions(n):
-                expected = sum(m_lambda(mu, h) for mu in add_box_successors(lam))
-                assert m_bar_lambda(lam, h) == expected
+                succ = add_box_successors(lam)
+                expected = sum(m_lambda(mu, h) for mu in succ)
+                assert m_bar_lambda(lam, h) == expected, (lam, h)
+                if smaller:
+                    expected -= sum(m_lambda(mu, smaller) for mu in succ)
+                got = multiplicity("bar_prime", lam, h, route="char")
+                assert got == expected, (lam, h)
 
 
 def test_m_lambda_matches_kronecker_oracle():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import superschur
+from superschur import cli
 from superschur.cli import _parse_hook, _parse_hooks, build_parser, main
 from superschur.partitions import Hook
 
@@ -123,7 +124,7 @@ def test_verify_qidentities_passes():
     assert json.loads(text)["summary"]["failures"] == 0
 
 
-def test_bad_usage_exits_2(capsys):
+def test_bad_usage_exits_2(capsys, monkeypatch):
     assert main(["mprime", "--lambda", "2"]) == 2  # missing --hook
     assert main(["nonsense"]) == 2
     assert main(["series", "--mode", "prime", "--hook", "1,1",
@@ -138,18 +139,23 @@ def test_bad_usage_exits_2(capsys):
         assert "--hooks" in capsys.readouterr().err
     # a degree out of range is named in the message, as the user gave it
     capsys.readouterr()
-    assert main(["verify", "lemmas", "--max-size", "1", "--degree", "0"]) == 2
-    assert "degree >= 1, got 0" in capsys.readouterr().err
     assert main(["verify", "qidentities", "--degree", "-1"]) == 2
     assert "nonnegative, got -1" in capsys.readouterr().err
-    # worker and size counts out of range are rejected, not run serially
-    # or over no cases
+    # worker and size counts and the lemmas degree out of range are
+    # rejected as parsed, not run serially, over no cases or after the
+    # bar-jump rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("suite ran on a bad argument")
+    for suite in ("budzik_suite", "lemmas_suite", "qidentities_suite"):
+        monkeypatch.setattr(cli, suite, refuse)
     for what, flag, value, message in (
+            ("lemmas", "--degree", "0", "at least 1, got 0"),
+            ("lemmas --max-size 5 --hooks 3,2", "--degree", "0", "at least 1, got 0"),
             ("budzik", "--jobs", "0", "at least 1, got 0"),
             ("budzik", "--jobs", "-3", "at least 1, got -3"),
             ("budzik", "--max-size", "-1", "at least 0, got -1"),
             ("qidentities", "--max-kl", "-1", "at least 0, got -1")):
-        assert main(["verify", what, flag, value]) == 2
+        assert main(["verify", *what.split(), flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and message in err
     # a flag the suite does not read is refused, not silently ignored

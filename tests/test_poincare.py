@@ -189,24 +189,43 @@ def test_p_series_char_equals_per_lambda_oracle(mode):
 
 
 def test_p_series_class_sums_are_checked_exact(monkeypatch):
-    # one weight off by 1 leaves its class sum indivisible by 3!
+    # one weight of S_3 off by 1 leaves every class sum that reads it
+    # indivisible by 3!: the plain and prime series in degree 3, the bar
+    # series in degree 2 (rho = (2, 1) ends in one part 1, so m_1 = 1) and
+    # the per-lam m_lambda((3,)), since chi^(3) is 1 on every class
     h = Hook(1, 1)
-    triples = list(_hook_weights(3, h))
-    rho, col, w = triples[0]
-    triples[0] = (rho, col, w + 1)
-    monkeypatch.setitem(default_cache().weights, (3, h), tuple(triples))
-    for mode in ("plain", "prime"):
+    weights = dict(_hook_weights(3, h))
+    weights[2, 1] += 1
+    monkeypatch.setitem(default_cache().weights, (3, h), weights)
+    for mode in ("plain", "prime", "bar"):
         with pytest.raises(InexactError, match="Poincare"):
             p_series(mode, h, 1, 0, 3, route="char")
+    with pytest.raises(InexactError, match="hook multiplicity"):
+        m_lambda((3,), h)
 
 
 def test_character_series_take_no_per_lambda_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-lambda path taken")
-    for owner, name in ((poincare, "hook_schur_eval"), (poincare, "m_lambda"),
-                        (poincare, "m_bar_lambda"), (characters, "m_lambda")):
+    for owner, name in ((poincare, "hook_schur_eval"), (poincare, "char_multiplicity"),
+                        (characters, "char_multiplicity"), (characters, "m_lambda"),
+                        (characters, "m_bar_lambda")):
         monkeypatch.setattr(owner, name, refuse)
     for mode in MODES:
         assert not p_series(mode, (2, 1), 2, 1, 6, route="char").is_zero()
     for mode in ("plain", "bar"):
         assert not p_series(mode, (2, 1), 2, 1, 6, route="residue").is_zero()
+
+
+def test_empty_hook_series_build_no_column(monkeypatch):
+    # no mu of positive size lies in H(0, 0): the weights need no character
+    # column and the walk stops at degree 0
+    def refuse(*args):
+        raise AssertionError("character column built")
+    monkeypatch.setattr(default_cache(), "chi", {})
+    monkeypatch.setattr(default_cache(), "weights", {})
+    monkeypatch.setattr(characters, "_add_strips", refuse)
+    want = {"plain": 1, "prime": 1, "bar": 0, "bar_prime": 0}
+    for mode in MODES:
+        got = p_series(mode, (0, 0), 3, 0, 16, route="char")
+        assert got == LaurentPoly.const(series_table(3, 0), want[mode]), mode
