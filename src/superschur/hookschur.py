@@ -94,22 +94,32 @@ def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]
     coefficients of prod (1 - x z)^-1 prod (1 + y z).
 
     One memo entry per alphabet pair holds h_0..h_R, the last column col,
-    where col[i] is h_R of the first i factors (X, then Y), and the letters
-    as monomials.  Degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for
-    an x factor and col[i] + y * prev[i] for a y factor, each in one pass,
+    where col[i] is h_R of the first i letters, and the letters as
+    monomials.  Degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for
+    an x letter and col[i] + y * prev[i] for a y letter, each in one pass,
     so a larger `upto` extends the entry and a smaller one slices it.
+
+    The product commutes, so any letter order gives the same h_R; the
+    cheap one takes Y's letters first, then X's constants, then the rest
+    of X.  A y letter enters at most once and a constant moves no
+    exponent, so every column entry over those letters is a sum of the
+    terms of e_j(Y), j <= |Y|, and only X's other letters work on the
+    full-size polynomials.
     """
     entry = _HOM_CACHE.get((X, Y))
     if entry is None:
         one = LaurentPoly.const(X.table, 1)
-        letters = [LaurentPoly.monomial(X.table, c, e) for c, e in X.monos + Y.monos]
+        zero = (0,) * len(X.table)
+        monos = (Y.monos + tuple(m for m in X.monos if m[1] == zero)
+                 + tuple(m for m in X.monos if m[1] != zero))
+        letters = [LaurentPoly.monomial(X.table, c, e) for c, e in monos]
         entry = _HOM_CACHE[(X, Y)] = [[one], [one] * (len(letters) + 1), letters]
     hs, col, letters = entry
-    nx = len(X)
+    ny = len(Y)
     while len(hs) <= upto:
         prev, col = col, [LaurentPoly.zero(X.table)]
         for i, z in enumerate(letters):
-            col.append(col[i]._add_monomial_times(z, prev[i + 1] if i < nx else prev[i]))
+            col.append(col[i]._add_monomial_times(z, prev[i] if i < ny else prev[i + 1]))
         hs.append(col[-1])
     entry[1] = col
     return hs[:upto + 1]

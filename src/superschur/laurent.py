@@ -228,9 +228,12 @@ class LaurentPoly:
         """self + mono * other for a one-term `mono`, in one pass: each term
         of `other` is shifted by mono's key and added into a copy of self,
         so the product is never formed on its own.  The one loop that adds
-        a polynomial into another: `+` and `-` pass mono = 1 and -1."""
+        a polynomial into another: `+` and `-` pass mono = 1 and -1.  An
+        empty `other` adds nothing and returns self, bound and all."""
         self._check(mono)
         self._check(other)
+        if not other._packed:
+            return self
         ((shift, c),) = mono._packed.items()
         shift -= self.table.zero_key
         reach = mono.reach + other.reach
@@ -268,13 +271,15 @@ class LaurentPoly:
                 self.table, {key: c * other for key, c in self._packed.items()},
                 self.reach)
         self._check(other)
+        a, b = self._packed, other._packed
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:  # the zero polynomial bounds no exponent
+            return LaurentPoly.zero(self.table)
         reach = self.reach + other.reach
         if reach > VarTable.LIMIT:
             raise ValueError(f"product exponent bound {reach} is past the "
                              f"packing limit {VarTable.LIMIT}")
-        a, b = self._packed, other._packed
-        if len(a) > len(b):
-            a, b = b, a
         zero_key = self.table.zero_key
         if len(a) == 1:  # a monomial shifts keys injectively: no collisions
             ((ka, ca),) = a.items()

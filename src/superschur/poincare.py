@@ -21,7 +21,7 @@ from .characters import char_multiplicity, class_weights
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
-from .residue import m_bar_prime_residue, m_prime_residue
+from .residue import m_bar_prime_residue, m_prime_residue, reserve_kernel
 
 MODES = ("plain", "prime", "bar", "bar_prime")
 ROUTES = ("residue", "char")
@@ -75,11 +75,16 @@ def p_series(mode: str, h, n: int, m: int, D: int,
         raise ValueError("need at least one series variable")
     if D < 0:
         raise ValueError(f"truncation degree must be nonnegative, got {D}")
+    if D > VarTable.LIMIT:
+        raise ValueError(f"truncation degree {D} is past the packing limit "
+                         f"{VarTable.LIMIT}")
     table = series_table(n, m)
     if route == "char" or mode in ("plain", "bar"):
         return _frobenius_series(mode, h, table, n, D)
     T = Alphabet.symbols(table, table.names[:n])
     U = Alphabet.symbols(table, table.names[n:])
+    # HS_lam(Z0;Z1) has reach |lam| <= D, and the bar factor adds one
+    reserve_kernel(h, D + (mode == "bar_prime"))
     total = LaurentPoly.zero(table)
     for d in range(D + 1):
         for lam in enumerate_partitions(d, in_hook=(n, m)):

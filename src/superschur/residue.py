@@ -10,11 +10,14 @@ y exponents, so a term that leaves a box |e_i| <= r never returns to it.
 
 The constant term CT[f Delta] = sum_e f_e [x^-e] Delta is linear in f.
 Every integral is therefore one dot product of f against Delta's
-expansion on a box |e_i| <= R covering f's reach, built once per hook by
-absorbing the factors into the Delta numerator and grown only when a
-larger reach arrives.  `constant_term_with_delta` keeps the per-integrand
-expansion as the reference, inside windows widened by `slack`; the tests
-check that the kernel agrees with it for every slack.
+expansion on a box |e_i| <= R covering f's reach, built per hook by
+absorbing the factors into the Delta numerator.  R is the reach asked for,
+with no overshoot: a series knows its largest reach before its first
+integral and sizes the kernel once (`reserve_kernel`); a caller that asks
+for a larger reach later rebuilds it at that reach.
+`constant_term_with_delta` keeps the per-integrand expansion as the
+reference, inside windows widened by `slack`; the tests check that the
+kernel agrees with it for every slack.
 """
 
 from __future__ import annotations
@@ -116,22 +119,32 @@ _KERNELS: dict = {}
 
 
 def _kernel(table: VarTable, h, reach: int) -> dict:
-    """Delta's expansion on a box that covers every exponent of reach
-    `reach`, keyed so that f's key e finds [x^-e] Delta.  Built by one
-    absorption of the Delta numerator, memoised per hook and rebuilt only
-    for a larger reach, with R = 1.5 x reach so that a slowly growing reach
-    does not rebuild it every time."""
+    """Delta's expansion on the box |e_i| <= reach, keyed so that f's key
+    e finds [x^-e] Delta.  Built by one absorption of the Delta numerator
+    and memoised per hook; a larger reach rebuilds it at exactly that
+    reach.  A build costs about reach^(k+l-1), so callers that know their
+    largest reach ask for it first (`reserve_kernel`).  ValueError past
+    the packing limit."""
     hit = _KERNELS.get(h)
     if hit is not None and hit[0] >= reach:
         return hit[1]
-    r = min(reach * 3 // 2, VarTable.LIMIT)
-    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, r)
+    if reach > VarTable.LIMIT:
+        raise ValueError(f"kernel reach {reach} is past the packing limit "
+                         f"{VarTable.LIMIT}")
+    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, reach)
     for i in range(h.k, len(table)):
-        terms = table.clip(terms, i, -r, r)
+        terms = table.clip(terms, i, -reach, reach)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
-    _KERNELS[h] = (r, kern)
+    _KERNELS[h] = (reach, kern)
     return kern
+
+
+def reserve_kernel(h, reach: int) -> None:
+    """Size the hook's kernel now for every integrand of reach up to
+    `reach`, so that a series of integrals builds it once."""
+    h = as_hook(h)
+    _kernel(z_alphabets(h)[0], h, reach)
 
 
 def constant_term_by_kernel(f: LaurentPoly, h) -> int:
@@ -146,13 +159,16 @@ def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     return sum(c * get(key, 0) for key, c in a.items())
 
 
+def _over_k_l(total: int, h: Hook) -> int:
+    return exact_quotient(total, factorial(h.k) * factorial(h.l),
+                          "constant term over k! l! (expansion bug)")
+
+
 def _integral(f: LaurentPoly, h) -> int:
     """(k! l!)^-1 x constant term of f * Delta by the kernel, which must be
     exact."""
     h = as_hook(h)
-    return exact_quotient(constant_term_by_kernel(f, h),
-                          factorial(h.k) * factorial(h.l),
-                          "constant term over k! l! (expansion bug)")
+    return _over_k_l(constant_term_by_kernel(f, h), h)
 
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
@@ -202,5 +218,16 @@ def m_prime_residue(lam: Partition, h) -> int:
 
 def m_bar_prime_residue(lam: Partition, h) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
-    HS_(1)(Z0;Z1)."""
-    return _integral(hs_on_z(lam, h) * hs_on_z((1,), h), h)
+    HS_(1)(Z0;Z1).  The product is never formed: HS_lam is paired with the
+    kernel shifted by each distinct z, weighted by its multiplicity,
+    sum_z sum_e f_e [x^-(e+z)] Delta, on a kernel of one more reach."""
+    h = as_hook(h)
+    f = hs_on_z(lam, h)
+    table = f.table
+    get = _kernel(table, h, f.reach + 1).get
+    terms = f._packed.items()
+    total = 0
+    for z, w in hs_on_z((1,), h)._packed.items():
+        shift = z - table.zero_key
+        total += w * sum(c * get(key + shift, 0) for key, c in terms)
+    return _over_k_l(total, h)

@@ -158,6 +158,13 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
         assert main(["verify", *what.split(), flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and message in err
+    # a degree past the packing limit is refused before any work on
+    # either route, naming the degree and the limit
+    for route in ("residue", "char"):
+        assert main(["series", "--mode", "prime", "--hook", "1,1", "--n", "1",
+                     "--degree", "40000", "--route", route]) == 2
+        err = capsys.readouterr().err
+        assert "40000" in err and "32767" in err
     # a flag the suite does not read is refused, not silently ignored
     for argv, flag in ((["budzik", "--degree", "9"], "--degree"),
                        (["qidentities", "--hooks", "2,2", "--jobs", "4"], "--hooks"),

@@ -11,6 +11,7 @@ from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, hook_schur_def,
 from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
+from superschur.residue import z_alphabets
 
 T21 = VarTable(["x1", "x2", "y1"])
 X21 = Alphabet.symbols(T21, ["x1", "x2"])
@@ -168,6 +169,32 @@ def test_super_hom_sequence_on_signed_alphabets():
         hs = super_hom_sequence(X, Y, upto)
         assert len(hs) == upto + 1
         assert hs == expected[:upto + 1]
+    assert expected == _hom_sequence_x_then_y(X, Y, 6)
+    assert super_hom_sequence(Y, X, 6) == _hom_sequence_x_then_y(Y, X, 6)
+
+
+def _hom_sequence_x_then_y(X, Y, upto):
+    """h_0..h_upto by the column recurrence over X's letters, then Y's,
+    with no memo (oracle for the letter order of super_hom_sequence)."""
+    table = X.table
+    letters = [LaurentPoly.monomial(table, c, e) for c, e in X.monos + Y.monos]
+    col = [LaurentPoly.const(table, 1)] * (len(letters) + 1)
+    hs = [col[-1]]
+    for _ in range(upto):
+        prev, col = col, [LaurentPoly.zero(table)]
+        for i, z in enumerate(letters):
+            col.append(col[i] + z * (prev[i + 1] if i < len(X) else prev[i]))
+        hs.append(col[-1])
+    return hs
+
+
+@pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_super_hom_sequence_letter_order(h):
+    # Y first, then X's constants, then the rest of X: the same h_r as X
+    # then Y, in both orientations of the residue alphabets
+    _, z0, z1 = z_alphabets(h)
+    for X, Y in ((z0, z1), (z1, z0)):
+        assert super_hom_sequence(X, Y, 6) == _hom_sequence_x_then_y(X, Y, 6)
 
 
 @pytest.mark.parametrize("xs, ys", [

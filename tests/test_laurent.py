@@ -239,7 +239,9 @@ def tuple_add_product(f: LaurentPoly, mono: LaurentPoly, g: LaurentPoly) -> dict
 def test_add_monomial_times_matches_product(f, mono, g):
     got = f._add_monomial_times(mono, g)
     assert dict(got.terms.items()) == tuple_add_product(f, mono, g)
-    assert got.reach == max(f.reach, mono.reach + g.reach)
+    # an empty g adds nothing, and bounds nothing
+    assert got.reach == (max(f.reach, mono.reach + g.reach) if g._packed
+                         else f.reach)
     # an int operand of + and - is the constant polynomial
     one, minus_one, three = (LaurentPoly.const(TABLE2, c) for c in (1, -1, 3))
     assert dict((f + 3).terms.items()) == tuple_add_product(f, one, three)
@@ -254,6 +256,16 @@ def test_add_monomial_times_full_cancellation():
     mono = LaurentPoly.monomial(TABLE2, -1, (1, 1))
     assert f._add_monomial_times(mono, g).is_zero()
     assert f._add_monomial_times(mono, LaurentPoly.zero(TABLE2)) == f
+
+
+@given(laurent_polys())
+def test_product_with_zero_has_reach_zero(f):
+    # a zero factor makes the zero polynomial, whatever the other's bound;
+    # hook-Schur determinants multiply entries by empty minors
+    zero = LaurentPoly.zero(TABLE2)
+    for got in (f * zero, zero * f):
+        assert got.is_zero() and got.reach == 0
+    assert (f + zero).reach == f.reach
 
 
 def test_add_monomial_times_past_limit_raises():

@@ -143,6 +143,11 @@ def test_p_series_rejects_bad_arguments():
         p_series("plain", (1, 1), -1, 3, 4)
     with pytest.raises(ValueError, match="nonnegative, got n=3, m=-2"):
         p_series("plain", (1, 1), 3, -2, 4)
+    # a degree past the packing limit is refused up front on both routes,
+    # not after the class weights of every smaller degree
+    for route in ROUTES:
+        with pytest.raises(ValueError, match="40000 is past the packing limit 32767"):
+            p_series("prime", (1, 1), 1, 0, 40000, route=route)
 
 
 def test_univariate_coefficients_rejects_multivariate():

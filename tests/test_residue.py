@@ -1,12 +1,16 @@
+from math import factorial
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from superschur import residue
 from superschur.hookschur import Alphabet, hook_schur_eval
 from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
-from superschur.residue import (_KERNELS, constant_term_by_kernel,
+from superschur.poincare import p_series
+from superschur.residue import (_KERNELS, _integral, constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
                                 hs_on_z, inner_product, m_bar_prime_residue,
                                 m_prime_residue, residue_table, z_alphabets)
@@ -188,7 +192,60 @@ def test_kernel_independent_of_growth_order():
                 key=lambda f: f.reach)
     _KERNELS.clear()
     small_first = [constant_term_by_kernel(f, h) for f in fs]
-    assert _KERNELS[h][0] <= fs[-1].reach * 3 // 2
+    assert _KERNELS[h][0] == fs[-1].reach
     _KERNELS.clear()
     large_first = [constant_term_by_kernel(f, h) for f in reversed(fs)][::-1]
     assert small_first == large_first == [constant_term_with_delta(f, h) for f in fs]
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_hook_schur_reach_is_at_most_size(h):
+    # the bound covers every exponent and never passes |lam|, so a series
+    # through degree D sizes its kernel at D.  It is exactly |lam| where
+    # Z0 holds a non-constant letter: on (1, 0), (0, 1) and (1, 1) every
+    # letter of Z0 is 1, so h_d(Z0;Z1) has reach at most |Z1| = 2kl
+    exact = h not in ((1, 0), (0, 1), (1, 1))
+    for n in range(7):
+        for lam in enumerate_partitions(n):
+            f = hs_on_z(lam, h)
+            true = max((max(map(abs, e), default=0) for e in f.terms), default=0)
+            assert true <= f.reach <= n, lam
+            assert f.reach == n or not exact, lam
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_bar_integral_matches_explicit_product(h):
+    k_l = factorial(Hook(*h).k) * factorial(Hook(*h).l)
+    for n in range(6):
+        for lam in enumerate_partitions(n):
+            f = hs_on_z(lam, h) * hs_on_z((1,), h)
+            got = m_bar_prime_residue(lam, h)
+            assert got == _integral(f, h), lam
+            assert got * k_l == constant_term_with_delta(f, h), lam
+
+
+@pytest.mark.parametrize("mode, h, n, m, D, reach", [
+    ("prime", Hook(2, 2), 1, 0, 12, 12),
+    ("prime", Hook(3, 2), 1, 1, 6, 6),
+    ("bar_prime", Hook(2, 1), 1, 1, 7, 8),
+])
+def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, reach):
+    # a residue-route series sizes its kernel once, before its first
+    # integral, at its largest reach: D, and D + 1 with the bar factor
+    builds = []
+    absorb = residue._absorb
+
+    def counted(*args):
+        builds.append(args[-1])
+        return absorb(*args)
+
+    monkeypatch.setattr(residue, "_absorb", counted)
+    _KERNELS.clear()
+    p_series(mode, h, n, m, D)
+    assert builds == [reach]
+    assert _KERNELS[h][0] == reach
+
+
+def test_kernel_past_limit_rejected():
+    with pytest.raises(ValueError, match="past the packing limit"):
+        residue.reserve_kernel((1, 1), VarTable.LIMIT + 1)
