@@ -7,12 +7,14 @@ multiplying in one p_r at a time, and p_r s_mu adds every border strip of
 size r to mu with sign (-1)^(height - 1) (Macdonald, Symmetric Functions
 and Hall Polynomials, I.7).  A column is a dict {beta-set bitmask of lam:
 chi^lam(rho)} of the nonzero values; the column of rho extends that of
-rho minus its last part, so one memo serves every n.  Each multiplicity
-mode is one class function V of S_N (`class_weights`), built from the hook
-weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2, which is
-computed once per (n, h).  A multiplicity is one inner product,
-(1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the bar modes, and
-the Poincare series reads the same V against power sums.
+rho without its largest part, a suffix of rho and so a class of a smaller
+S_n, by strips of size rho_1.  The column extended is then the smallest
+one available, of size n - rho_1, and one memo serves every n.  Each
+multiplicity mode is one class function V of S_N (`class_weights`), built
+from the hook weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
+chi^mu(rho)^2, which is computed once per (n, h).  A multiplicity is one
+inner product, (1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the
+bar modes, and the Poincare series reads the same V against power sums.
 """
 
 from __future__ import annotations
@@ -57,10 +59,11 @@ def _mask(lam: Partition) -> int:
 
 
 def _column(rho: Partition) -> dict[int, int]:
-    """{_mask(lam): chi^lam(rho)} over the lam with a nonzero value."""
+    """{_mask(lam): chi^lam(rho)} over the lam with a nonzero value, grown
+    from the column of rho[1:] by strips of size rho[0]."""
     col = _MEMO.chi.get(rho)
     if col is None:
-        col = _add_strips(_column(rho[:-1]), rho[-1]) if rho else {0: 1}
+        col = _add_strips(_column(rho[1:]), rho[0]) if rho else {0: 1}
         _MEMO.chi[rho] = col
     return col
 

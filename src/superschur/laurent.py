@@ -138,8 +138,8 @@ class LaurentPoly:
 
     Treat instances as immutable; all arithmetic returns new objects.
     `_packed` maps packed exponent keys to coefficients; `residue` reads
-    it directly for its constant-term extraction, and `poincare` to add
-    power-sum products into its class sums.
+    it directly for its constant-term extraction, and `poincare` builds a
+    series straight into it with `_from_packed`.
     """
 
     __slots__ = ("table", "_packed", "reach")

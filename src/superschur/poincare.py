@@ -10,7 +10,10 @@ sum_rho chi^lam(rho) V(rho) for the one class function V of
 (Macdonald, Symmetric Functions and Hall Polynomials, I.7), so the
 degree-N part of sum_lam mult(lam) HS_lam(T;U) is (1/(N+b)!) sum_{rho |- N}
 V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
-(-1)^(r-1) sum u^r.  Only the residue jumps are summed per lam.
+(-1)^(r-1) sum u^r.  p_rho(T;U) is symmetric in T and in U, so the walk
+over the classes keeps only its monomials sorted descending within each
+block, and grows each p_rho from the class without its largest part.
+Only the residue jumps are summed per lam.
 """
 
 from __future__ import annotations
@@ -99,43 +102,104 @@ def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
     """The series of a character-sum mode through degree D by power sums:
     (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N, with V
     from `class_weights` and the first n variables of `table` as T and the
-    rest as U.  p_rho grows one part at a time along a depth-first walk
-    over the partitions of size up to the last degree with a nonzero
-    weight, which holds only the chain of prefix products.  Each class sum
-    is divided by (N+b)! exactly."""
+    rest as U.  The class sums come from `_class_sums` on sorted monomials;
+    each is divided by (N+b)! exactly and spread over the distinct orderings
+    of its T block and of its U block, straight into packed keys."""
     weights = [class_weights(mode, h, N) for N in range(D + 1)]
-    top = max((N for N, v in enumerate(weights) if v), default=0)
-    width = len(table)
-    power = [None]
-    for r in range(1, top + 1):
-        terms = {}
-        for i in range(width):
-            e = [0] * width
-            e[i] = r
-            terms[tuple(e)] = 1 if i < n or r % 2 else -1
-        power.append(LaurentPoly(table, terms))
-    sums = [{} for _ in range(top + 1)]  # class sums, by N = |rho|
+    monos, sums = _class_sums(weights, n, len(table))
+    b = mode.startswith("bar")
+    zero_key = table.zero_key
+    terms = {}
+    for N, acc in enumerate(sums):
+        for k, c in acc.items():
+            if not c:
+                continue
+            c = exact_quotient(c, factorial(N + b),
+                               "class sum for a Poincare coefficient")
+            e = monos[k]
+            uks = _packed_orderings(e[n:], n)
+            for tk in _packed_orderings(e[:n], 0):
+                for uk in uks:
+                    terms[zero_key + tk + uk] = c
+    return LaurentPoly._from_packed(table, terms, D)
 
-    def walk(rho: tuple, size: int, p: LaurentPoly) -> None:
-        # p = p_rho; children append a part r <= rho's last one
+
+def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
+    """(monos, sums): sums[N] = {id: sum_{rho |- N} weights[N][rho] times
+    the coefficient of monos[id] in p_rho(T;U)}, through the last N with a
+    nonzero weight, with T the first n of `width` variables.
+
+    p_rho(T;U) is symmetric in T and in U, so it is held by its sorted
+    monomials only, each exponent vector descending within the T block and
+    within the U block, and numbered in the order they are met.
+    Multiplying by p_r moves one distinct value v of a block to v + r; the
+    sorted target takes the source coefficient times the number of entries
+    equal to v + r in its new block, with sign (-1)^(r-1) in the U block.
+    p_rho grows along a depth-first walk that puts each new part r >= rho_1
+    in front, so every product extends the one of rho without its largest
+    part, and the walk holds only that chain."""
+    top = max((N for N, v in enumerate(weights) if v), default=0)
+    monos = [(0,) * width]
+    ids = {monos[0]: 0}
+    moves = [{} for _ in range(top + 1)]  # moves[r][id]: (target, factor, ...)
+
+    def targets(k: int, r: int) -> tuple:
+        e = monos[k]
+        row = []
+        for lo, hi in ((0, n), (n, width)):
+            sign = -1 if lo == n and r % 2 == 0 else 1
+            for i in range(lo, hi):
+                v = e[i]
+                if i > lo and e[i - 1] == v:
+                    continue
+                w = v + r
+                j = i  # w goes before the entries of the block below it
+                while j > lo and e[j - 1] < w:
+                    j -= 1
+                f = e[:j] + (w,) + e[j:i] + e[i + 1:]
+                t = ids.get(f)
+                if t is None:
+                    t = ids[f] = len(monos)
+                    monos.append(f)
+                row += t, sign * f[lo:hi].count(w)
+        return tuple(row)
+
+    sums = [{} for _ in range(top + 1)]
+    sums[0][0] = weights[0].get((), 0)  # p_() = 1, the monomial of id 0
+    # (r, rho, |rho|, p_rho): visit (r,) + rho, r >= rho_1
+    stack = [(r, (), 0, {0: 1}) for r in range(top, 0, -1)]
+    while stack:
+        r, rho, size, p = stack.pop()
+        row_of = moves[r]
+        q = {}
+        get = q.get
+        for k, c in p.items():
+            row = row_of.get(k)
+            if row is None:
+                row = row_of[k] = targets(k, r)
+            pairs = iter(row)
+            for t, f in zip(pairs, pairs):
+                q[t] = get(t, 0) + f * c
+        rho, size = (r,) + rho, size + r
         w = weights[size].get(rho)
         if w:
             acc = sums[size]
             get = acc.get
-            for key, c in p._packed.items():
-                acc[key] = get(key, 0) + w * c
-        for r in range(min(rho[-1] if rho else top, top - size), 0, -1):
-            walk(rho + (r,), size + r, p * power[r])
+            for k, c in q.items():
+                acc[k] = get(k, 0) + w * c
+        stack.extend((s, rho, size, q) for s in range(top - size, r - 1, -1))
+    return monos, sums
 
-    walk((), 0, LaurentPoly.const(table, 1))
-    b = mode.startswith("bar")
-    terms = {}
-    for N, acc in enumerate(sums):
-        for key, c in acc.items():
-            if c:
-                terms[key] = exact_quotient(
-                    c, factorial(N + b), "class sum for a Poincare coefficient")
-    return LaurentPoly._from_packed(table, terms, D)
+
+def _packed_orderings(block: tuple, lo: int) -> list[int]:
+    """The distinct orderings of a block of exponents that starts at
+    variable lo, each as its packed offset from the zero key."""
+    if not block:
+        return [0]
+    shift = VarTable.WIDTH * lo
+    return [(v << shift) + rest for i, v in enumerate(block)
+            if v not in block[:i]
+            for rest in _packed_orderings(block[:i] + block[i + 1:], lo + 1)]
 
 
 def univariate_coefficients(series: LaurentPoly, D: int) -> list[int]:

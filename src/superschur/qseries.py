@@ -5,25 +5,22 @@ Poincare series, plus the two partition limit identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .partitions import as_hook, enumerate_partitions
+from .partitions import FrozenRecord, as_hook, enumerate_partitions
 
 Factor = tuple  # (sign: +-1, exponent_a: int, power: +-1) meaning (1 + sign*u^a)^power
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(FrozenRecord):
     """Integer power series modulo degree order+1; coefficients exact."""
 
-    var: str
-    order: int
-    coeffs: tuple
+    __slots__ = ("var", "order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, var: str, order: int, coeffs: tuple):
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient list length must be order + 1")
+        self._set(var=var, order=order, coeffs=coeffs)
 
     @classmethod
     def zero(cls, var: str, order: int) -> "TruncatedSeries":

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from superschur.characters import (class_size, default_cache, dimension,
-                                   kronecker, m_bar_lambda, m_lambda,
-                                   mn_character)
+from superschur.characters import (_column, class_size, default_cache,
+                                   dimension, kronecker, m_bar_lambda,
+                                   m_lambda, mn_character)
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 
@@ -89,11 +89,19 @@ def test_cleared_cache_is_cold():
     assert default_cache().chi
 
 
+def test_column_grows_from_the_class_without_its_largest_part():
+    # (3, 1, 1) adds a 3-strip to the column of (1, 1), which adds a 1-strip
+    # to that of (1,): its suffixes are memoised, its prefix (3, 1) is not
+    _clear_default_cache()
+    _column((3, 1, 1))
+    assert set(default_cache().chi) == {(3, 1, 1), (1, 1), (1,), ()}
+
+
 def test_values_independent_of_column_order():
-    # the class rho8 of S_8 is a prefix of the class rho12 of S_12, so
-    # whichever column is built first lends its prefixes to the other;
+    # the class rho8 of S_8 is a suffix of the class rho12 of S_12, so
+    # whichever column is built first lends its suffixes to the other;
     # the values must not depend on which that is
-    rho12, rho8 = (3, 2, 2, 1, 1, 1, 1, 1), (3, 2, 2, 1)
+    rho12, rho8 = (4, 3, 2, 1, 1, 1), (3, 2, 1, 1, 1)
     lams = [lam for n in (8, 12) for lam in enumerate_partitions(n)]
 
     def values(order):

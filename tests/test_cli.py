@@ -187,6 +187,17 @@ def _package_env():
     return dict(os.environ, PYTHONPATH=root)
 
 
+def test_import_loads_no_dataclass_machinery():
+    # every command starts a fresh interpreter: importing the package must
+    # not pull in dataclasses and inspect (and the ast, dis and tokenize
+    # modules inspect loads)
+    code = ("import sys, superschur; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_package_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
+
+
 def test_reused_parser_matches_fresh_process(capsys):
     # one process parses a usage error, a series and a verify command with
     # the same parser; each must print what a fresh process prints

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -33,8 +35,23 @@ def test_classify_hook():
 
 
 def test_hook_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"nonnegative: Hook\(k=-1, l=2\)"):
         Hook(-1, 2)
+
+
+def test_hook_is_an_immutable_value():
+    h = Hook(2, 1)
+    assert h == Hook(2, 1) and h != Hook(1, 2) and h != (2, 1)
+    assert hash(h) == hash(Hook(2, 1))
+    assert {h: 1}[Hook(2, 1)] == 1
+    assert repr(h) == "Hook(k=2, l=1)"
+    assert tuple(h) == (2, 1) and h.shrink() == Hook(1, 0)
+    assert pickle.loads(pickle.dumps(h)) == h
+    with pytest.raises(AttributeError):
+        h.k = 3
+    with pytest.raises(AttributeError):
+        del h.l
+    assert h == Hook(2, 1)
 
 
 def test_typical_implies_outside_smaller_hook():

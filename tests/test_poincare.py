@@ -1,10 +1,13 @@
 import pytest
 
 from superschur import characters, poincare
-from superschur.characters import _hook_weights, default_cache, m_bar_lambda, m_lambda
+from superschur.characters import (_hook_weights, class_weights, default_cache,
+                                   m_bar_lambda, m_lambda)
 from superschur.hookschur import Alphabet, hook_schur_eval
-from superschur.laurent import InexactError, LaurentPoly
+from superschur.laurent import InexactError, LaurentPoly, exact_quotient
 from superschur.partitions import Hook, enumerate_partitions
+from math import factorial
+
 from superschur.poincare import (MODES, ROUTES, budzik_cases, budzik_suite,
                                  check_derivative_relation, lemmas_suite,
                                  multiplicity, p_series, series_table,
@@ -182,7 +185,8 @@ def _per_lambda_series(mode, h, n, m, D):
 
 
 # (n, m) -> D, about 1 s over the four modes
-ORACLE_DEGREES = {(1, 0): 14, (0, 1): 14, (2, 0): 11, (1, 1): 10, (3, 0): 10, (2, 1): 9}
+ORACLE_DEGREES = {(1, 0): 14, (0, 1): 14, (2, 0): 11, (1, 1): 10, (3, 0): 10,
+                  (2, 1): 9, (0, 2): 11, (1, 2): 8}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -191,6 +195,53 @@ def test_p_series_char_equals_per_lambda_oracle(mode):
         for (n, m), D in ORACLE_DEGREES.items():
             got = p_series(mode, h, n, m, D, route="char")
             assert got == _per_lambda_series(mode, h, n, m, D), (mode, h, n, m, D)
+
+
+def _product_walk_series(mode, h, n, m, D):
+    # the power-sum assembly on full polynomials: p_rho(T;U) grows by
+    # appending a part r <= rho's last one and multiplying by p_r with
+    # LaurentPoly.__mul__, and every monomial is kept, sorted or not
+    h = Hook(*h)
+    table = series_table(n, m)
+    weights = [class_weights(mode, h, N) for N in range(D + 1)]
+    power = [None]
+    for r in range(1, D + 1):
+        power.append(LaurentPoly(table, {
+            tuple(r if j == i else 0 for j in range(n + m)):
+            1 if i < n or r % 2 else -1 for i in range(n + m)}))
+    sums = [LaurentPoly.zero(table)] * (D + 1)
+
+    def walk(rho, size, p):
+        w = weights[size].get(rho)
+        if w:
+            sums[size] = sums[size] + p * w
+        for r in range(min(rho[-1] if rho else D, D - size), 0, -1):
+            walk(rho + (r,), size + r, p * power[r])
+
+    walk((), 0, LaurentPoly.const(table, 1))
+    b = mode.startswith("bar")
+    return LaurentPoly(table, {
+        e: exact_quotient(c, factorial(N + b), "oracle class sum")
+        for N, acc in enumerate(sums) for e, c in acc.terms.items()})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sorted_monomial_walk_equals_product_walk(mode):
+    # two or more variables in a block, both blocks at once, and the empty
+    # hook, whose walk stops at degree 0
+    for h in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 2)]:
+        for (n, m), D in {(1, 0): 9, (0, 1): 9, (2, 1): 8, (1, 2): 8,
+                          (0, 3): 8, (4, 0): 8}.items():
+            got = p_series(mode, h, n, m, D, route="char")
+            assert got == _product_walk_series(mode, h, n, m, D), (mode, h, n, m, D)
+
+
+def test_sorted_monomial_walk_multiplies_no_polynomial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("LaurentPoly.__mul__ called")
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    for mode in MODES:
+        assert not p_series(mode, (2, 2), 3, 0, 14, route="char").is_zero()
 
 
 def test_p_series_class_sums_are_checked_exact(monkeypatch):

@@ -17,6 +17,17 @@ def test_series_arithmetic():
     assert str(TruncatedSeries.zero("u", 2)) == "0"
 
 
+def test_series_is_an_immutable_value():
+    a = TruncatedSeries("u", 2, (1, 0, 3))
+    assert a == TruncatedSeries("u", 2, (1, 0, 3))
+    assert a != TruncatedSeries("t", 2, (1, 0, 3))
+    assert hash(a) == hash(TruncatedSeries("u", 2, (1, 0, 3)))
+    assert repr(a) == "TruncatedSeries(var='u', order=2, coeffs=(1, 0, 3))"
+    with pytest.raises(AttributeError):
+        a.coeffs = (0, 0, 0)
+    assert a.coeffs == (1, 0, 3)
+
+
 def test_series_mismatch_rejected():
     a = TruncatedSeries("u", 3, (1, 0, 0, 0))
     with pytest.raises(ValueError):
