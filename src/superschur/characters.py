@@ -101,10 +101,11 @@ def mn_character(lam: Partition, rho: Partition) -> int:
 
 
 def class_size(rho: Partition) -> int:
-    """Conjugacy class size in S_n for cycle type rho: n!/prod(i^a_i a_i!)."""
+    """Conjugacy class size in S_n for cycle type rho: n!/prod(i^a_i a_i!).
+    Zero parts of rho are ignored."""
     n = sum(rho)
     denom = 1
-    for i in set(rho):
+    for i in set(rho) - {0}:
         a = rho.count(i)
         denom *= i ** a * factorial(a)
     return factorial(n) // denom

@@ -1,21 +1,22 @@
 """Schur, skew Schur, and hook Schur functions on finite monomial alphabets.
 
-Three routes are provided: the definitional sum over sub-shapes, the
-Jozefiak-Pragacz symmetrized rational sum, and the factorization formula
-for typical shapes.  Evaluation on large monomial alphabets expands the
+Evaluation on large monomial alphabets (`hook_schur_eval`) expands the
 generating product of the super complete functions and takes one
-Jacobi-Trudi determinant in them; tableau enumeration is kept as an
-independent cross-check oracle.
+Jacobi-Trudi determinant in them.  Three routes check it and share none
+of its code: the definitional one, which enumerates the
+(k, l)-semistandard tableaux of Berele and Regev; the Jozefiak-Pragacz
+symmetrized rational sum; and the factorization formula for typical
+shapes, whose Schur factors are tableau sums too.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator, Sequence
+from operator import add
+from typing import Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
-from .partitions import (Hook, HookClass, Partition, as_hook, classify_hook,
-                         conjugate, part, typical_split)
+from .partitions import Hook, Partition, as_hook, conjugate, part, typical_split
 
 
 class Alphabet:
@@ -155,10 +156,9 @@ def _det(mat: list[list[LaurentPoly]], table: VarTable) -> LaurentPoly:
     return rec(tuple(range(n)))
 
 
-def _jacobi_trudi(lam: Partition, mu: Partition, X: Alphabet,
-                  Y: Alphabet) -> LaurentPoly:
-    """det[h_{lam_i - mu_j - i + j}(X;Y)], the skew Jacobi-Trudi determinant
-    of lam/mu in the super complete functions."""
+def _jacobi_trudi(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """det[h_{lam_i - i + j}(X;Y)], the Jacobi-Trudi determinant of lam in
+    the super complete functions."""
     table = X.table
     height = len(lam)
     if height == 0:
@@ -167,8 +167,8 @@ def _jacobi_trudi(lam: Partition, mu: Partition, X: Alphabet,
     zero = LaurentPoly.zero(table)
 
     def entry(i: int, j: int) -> LaurentPoly:
-        d = lam[i] - part(mu, j + 1) - i + j
-        return hs[d] if 0 <= d < len(hs) else zero
+        d = lam[i] - i + j
+        return hs[d] if d >= 0 else zero
 
     return _det([[entry(i, j) for j in range(height)] for i in range(height)],
                 table)
@@ -191,7 +191,7 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     if len(lam) > lam[0]:
         result = hook_schur_eval(conjugate(lam), Y, X)
     else:
-        result = _jacobi_trudi(lam, (), X, Y)
+        result = _jacobi_trudi(lam, X, Y)
     _HS_CACHE[key] = result
     return result
 
@@ -201,85 +201,62 @@ def schur_eval(lam: Partition, A: Alphabet) -> LaurentPoly:
     return hook_schur_eval(lam, A, Alphabet.empty(A.table))
 
 
-def skew_schur_eval(lam: Partition, mu: Partition, A: Alphabet) -> LaurentPoly:
-    """s_{lam/mu}(A) by the skew Jacobi-Trudi determinant."""
-    if any(part(mu, i) > part(lam, i) for i in range(1, len(mu) + 1)):
-        raise ValueError(f"{mu} is not contained in {lam}")
-    return _jacobi_trudi(lam, mu, A, Alphabet.empty(A.table))
+# -- the definitional route: tableau enumeration -------------------------
 
+def _tableaux(lam: Partition, mu: Partition, X: Alphabet,
+              Y: Alphabet) -> LaurentPoly:
+    """Sum over the (k, l)-semistandard fillings of lam/mu of the product
+    of their letters (Berele-Regev), k = |X| and l = |Y|.
 
-# -- tableau oracles ----------------------------------------------------
-
-def skew_schur_by_tableaux(lam: Partition, mu: Partition, A: Alphabet) -> LaurentPoly:
-    """s_{lam/mu}(A) by direct semistandard-filling enumeration (oracle)."""
-    table = A.table
-    n_letters = len(A)
-    rows = [(part(mu, i + 1), part(lam, i + 1)) for i in range(len(lam))]
-    total = LaurentPoly.zero(table)
-
-    def fill(i: int, prev_row: dict, acc: LaurentPoly):
-        nonlocal total
-        if i == len(rows):
-            total = total + acc
-            return
-        lo, hi = rows[i]
-
-        def fill_row(j: int, last: int, row_acc: LaurentPoly, row_vals: dict):
-            if j == hi:
-                fill(i + 1, row_vals, row_acc)
-                return
-            floor = last
-            above = prev_row.get(j)
-            if above is not None:
-                floor = max(floor, above + 1)
-            for v in range(floor, n_letters + 1):
-                fill_row(j + 1, v, row_acc * A.entry(v - 1), {**row_vals, j: v})
-
-        fill_row(lo, 1, acc, {})
-
-    fill(0, {}, LaurentPoly.const(table, 1))
-    return total
-
-
-def schur_by_tableaux(lam: Partition, A: Alphabet) -> LaurentPoly:
-    return skew_schur_by_tableaux(lam, (), A)
-
-
-# -- the three hook-Schur formulas --------------------------------------
-
-def sub_partitions(lam: Partition) -> Iterator[Partition]:
-    """All partitions contained in lam (componentwise)."""
-    def rec(i: int, cap: int):
-        if i == len(lam):
-            yield ()
-            return
-        for p in range(min(lam[i], cap), -1, -1):
-            if p == 0:
-                yield ()
-                return
-            for rest in rec(i + 1, p):
-                yield (p,) + rest
-    yield from rec(0, lam[0] if lam else 0)
-
-
-def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Definitional route: sum over mu of s_mu(X) s_{(lam/mu)'}(Y).
-
-    The conjugate on the skew factor is required for the hook theorem and
-    the factorization formula to hold (witness (1,1,1) with one x, one y).
+    Letters 1..k are X's entries and k+1..k+l are Y's; rows and columns
+    weakly increase, an x letter does not repeat down a column and a y
+    letter does not repeat along a row.  So a cell takes at least
+    v + (v > k) after its left neighbour v and above + (above <= k) below
+    its upper neighbour, where 0 stands for a cell of mu or off the shape.
+    With Y empty these are the semistandard tableaux of s_{lam/mu}(X).
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
-    table = X.table
-    lamc = conjugate(lam)
-    total = LaurentPoly.zero(table)
-    for mu in sub_partitions(lam):
-        sx = schur_eval(mu, X)
-        if sx.is_zero():
-            continue
-        total = total + sx * skew_schur_eval(lamc, conjugate(mu), Y)
-    return total
+    if any(part(mu, i) > part(lam, i) for i in range(1, len(mu) + 1)):
+        raise ValueError(f"{mu} is not contained in {lam}")
+    letters = X.monos + Y.monos
+    k, n = len(X), len(letters)
+    cells = [(i, j) for i, p in enumerate(lam) for j in range(part(mu, i + 1), p)]
+    grid = [[0] * p for p in lam]
+    terms: dict[tuple, int] = {}
 
+    def fill(c: int, sign: int, exps: tuple):
+        if c == len(cells):
+            terms[exps] = terms.get(exps, 0) + sign
+            return
+        i, j = cells[c]
+        left = grid[i][j - 1] if j else 0
+        above = grid[i - 1][j] if i else 0
+        for v in range(max(left + (left > k), above + (above <= k)), n + 1):
+            grid[i][j] = v
+            s, e = letters[v - 1]
+            fill(c + 1, sign * s, tuple(map(add, exps, e)))
+
+    fill(0, 1, (0,) * len(X.table))
+    return LaurentPoly(X.table, terms)
+
+
+def skew_schur_by_tableaux(lam: Partition, mu: Partition, A: Alphabet) -> LaurentPoly:
+    """s_{lam/mu}(A) by semistandard-filling enumeration."""
+    return _tableaux(lam, mu, A, Alphabet.empty(A.table))
+
+
+def schur_by_tableaux(lam: Partition, A: Alphabet) -> LaurentPoly:
+    return _tableaux(lam, (), A, Alphabet.empty(A.table))
+
+
+def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """Definitional route: the sum over the (|X|, |Y|)-semistandard
+    tableaux of lam."""
+    return _tableaux(lam, (), X, Y)
+
+
+# -- the other two hook-Schur formulas ------------------------------------
 
 def f_lambda(lam: Partition, h, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """Product of (x_i + y_j) over the boxes of lam, with variables beyond
@@ -359,13 +336,10 @@ def hook_schur_factorized(lam: Partition, h, X: Alphabet, Y: Alphabet) -> Lauren
     """Factorization route for typical shapes: the full rectangle product
     times s_mu(X) s_nu(Y)."""
     h = as_hook(h)
-    if classify_hook(lam, h) is not HookClass.TYPICAL:
-        raise ValueError(f"{lam} is not typical in H({h.k},{h.l})")
+    mu, nu = typical_split(lam, h)
     if len(X) != h.k or len(Y) != h.l:
         raise ValueError("alphabet sizes must match the hook")
-    table = X.table
-    mu, nu = typical_split(lam, h)
-    result = schur_eval(mu, X) * schur_eval(nu, Y)
+    result = schur_by_tableaux(mu, X) * schur_by_tableaux(nu, Y)
     for i in range(h.k):
         for j in range(h.l):
             result = result * (X.entry(i) + Y.entry(j))

@@ -18,6 +18,7 @@ Only the residue jumps are summed per lam.
 
 from __future__ import annotations
 
+import os
 from math import factorial
 
 from .characters import char_multiplicity, class_weights
@@ -242,14 +243,17 @@ def budzik_cases(max_size: int, hooks) -> list[tuple]:
 def budzik_suite(max_size: int, hooks, jobs: int = 1) -> list[dict]:
     """Run verify_budzik over all |lam| <= max_size and the given hooks.
 
-    Results are combined in canonical case order regardless of the worker
-    count, so output is deterministic."""
+    The pool holds at most one worker per case and per CPU, and a forking
+    pool starts all of its workers at once; with one worker the cases run
+    in this process.  Results are combined in canonical case order
+    regardless of the worker count, so output is deterministic."""
     cases = budzik_cases(max_size, hooks)
-    if jobs > 1:
+    workers = min(jobs, len(cases), os.cpu_count() or 1)
+    if workers > 1:
         # imported only when pooling: it pulls in multiprocessing, which
         # would otherwise add to every import of the package
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_budzik_worker, cases))
     return [_budzik_worker(c) for c in cases]
 

@@ -126,6 +126,10 @@ def test_class_sizes():
     assert class_size((3,)) == 2
     assert class_size((2, 1)) == 3
     assert class_size((2, 2, 1)) == 15
+    # zero parts are ignored, as in mn_character
+    assert class_size((2, 1, 0)) == 3
+    assert class_size((3, 0, 0)) == 2
+    assert class_size((0,)) == 1
     for n in range(8):
         assert sum(class_size(rho) for rho in enumerate_partitions(n)) == math.factorial(n)
 

@@ -3,11 +3,11 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from superschur import hookschur
 from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, hook_schur_def,
                                   hook_schur_eval, hook_schur_factorized,
                                   hook_schur_jp, schur_by_tableaux, schur_eval,
-                                  skew_schur_by_tableaux, skew_schur_eval,
-                                  sub_partitions, super_hom_sequence)
+                                  skew_schur_by_tableaux, super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
@@ -43,20 +43,23 @@ def test_schur_tall_shape_vanishes():
     assert schur_eval((2, 2, 1), X22).is_zero()
 
 
-def test_skew_schur_matches_tableaux():
-    for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]:
-        for mu in sub_partitions(lam):
-            assert skew_schur_eval(lam, mu, X22) == skew_schur_by_tableaux(lam, mu, X22)
+def test_skew_schur_disconnected_shapes():
+    # a skew shape whose rows share no column is a product of rows:
+    # s_{(2,1)/(1)} = h_1^2, s_{(3,2,1)/(2,1)} = h_1^3, s_{(4,2)/(2)} = h_2^2;
+    # s_{(2,2)/(1)} = s_{(2,1)}, and mu = lam leaves 1
+    h1, h2 = schur_eval((1,), X22), schur_eval((2,), X22)
+    assert skew_schur_by_tableaux((2, 1), (1,), X22) == h1 * h1
+    assert skew_schur_by_tableaux((3, 2, 1), (2, 1), X22) == h1 * h1 * h1
+    assert skew_schur_by_tableaux((4, 2), (2,), X22) == h2 * h2
+    assert skew_schur_by_tableaux((2, 2), (1,), X22) == schur_eval((2, 1), X22)
+    assert skew_schur_by_tableaux((3, 1), (3, 1), X22) == LaurentPoly.const(T22, 1)
 
 
 def test_skew_schur_rejects_non_subshape():
-    with pytest.raises(ValueError):
-        skew_schur_eval((2, 1), (1, 1, 1), X22)
-
-
-def test_sub_partitions():
-    assert set(sub_partitions((2, 1))) == {(), (1,), (2,), (1, 1), (2, 1)}
-    assert list(sub_partitions(())) == [()]
+    # mu longer than lam, and mu wider than lam
+    for lam, mu in [((2, 1), (1, 1, 1)), ((1,), (2,))]:
+        with pytest.raises(ValueError, match="is not contained in"):
+            skew_schur_by_tableaux(lam, mu, X22)
 
 
 def test_factorization_2_1_example():
@@ -102,6 +105,43 @@ def test_three_formulas_agree():
                 if kind is HookClass.TYPICAL:
                     h = (len(X), len(Y))
                     assert hook_schur_factorized(lam, h, X, Y) == via_def
+
+
+def test_check_formulas_take_no_determinant(monkeypatch):
+    # the three formulas that check hook_schur_eval share none of its code:
+    # with the determinant, the complete functions and the fast route all
+    # raising, they still give the values the fast route gave before
+    shapes = [lam for n in range(5) for lam in enumerate_partitions(n)]
+    want = {lam: hook_schur_eval(lam, X21, Y21) for lam in shapes}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check formula called the fast route")
+
+    for name in ("_jacobi_trudi", "super_hom_sequence", "hook_schur_eval"):
+        monkeypatch.setattr(hookschur, name, refuse)
+    for lam in shapes:
+        assert hook_schur_def(lam, X21, Y21) == want[lam]
+        assert hook_schur_jp(lam, X21, Y21) == want[lam]
+        if classify_hook(lam, (2, 1)) is HookClass.TYPICAL:
+            assert hook_schur_factorized(lam, (2, 1), X21, Y21) == want[lam]
+
+
+TABC = VarTable(["a", "b", "c"])
+XABC = Alphabet(TABC, [(1, (1, 0, 0)), (1, (1, 0, 0)), (-1, (0, 1, 0))])  # a, a, -b
+YABC = Alphabet(TABC, [(-1, (0, 0, 1)), (1, (0, 1, -1))])                # -c, b/c
+EMPTY_ABC = Alphabet.empty(TABC)
+
+
+@pytest.mark.parametrize("X, Y, size", [
+    (XABC, YABC, 5),            # a repeated letter, negative letters
+    (XABC, EMPTY_ABC, 5),       # x letters only
+    (EMPTY_ABC, YABC, 5),       # y letters only
+    (*z_alphabets((1, 1))[1:], 4),  # the residue alphabets: unit letters repeat
+])
+def test_tableaux_letter_rules_on_awkward_alphabets(X, Y, size):
+    for n in range(size + 1):
+        for lam in enumerate_partitions(n):
+            assert hook_schur_def(lam, X, Y) == hook_schur_eval(lam, X, Y)
 
 
 def test_vanishing_iff_outside_hook():

@@ -104,6 +104,40 @@ def test_budzik_suite_serial_equals_parallel():
     assert all(r["pass"] for r in serial)
 
 
+@pytest.mark.parametrize("max_size, jobs, cpus, pool", [
+    (0, 64, 2, None),   # one case: no pool, however many jobs are asked for
+    (3, 64, 3, 3),      # capped at the CPU count
+    (1, 8, 8, 2),       # capped at the case count
+    (3, 2, 8, 2),       # the jobs asked for
+    (3, 8, None, None),  # CPU count unknown: serial
+])
+def test_budzik_suite_pool_size(monkeypatch, max_size, jobs, cpus, pool):
+    # a fake pool records its size and maps in this process, so no worker
+    # process starts
+    import concurrent.futures
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(poincare.os, "cpu_count", lambda: cpus)
+    hooks = [(1, 1)]
+    got = budzik_suite(max_size, hooks, jobs=jobs)
+    assert sizes == ([] if pool is None else [pool])
+    assert got == budzik_suite(max_size, hooks, jobs=1)
+
+
 def test_p_series_one_even_variable_matches_closed_form():
     D = 10
     for h in [(1, 1), (2, 1), (2, 2)]:
