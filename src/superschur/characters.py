@@ -9,7 +9,8 @@ and Hall Polynomials, I.7).  A column is a dict {beta-set bitmask of lam:
 chi^lam(rho)} of the nonzero values; the column of rho extends that of
 rho without its largest part, a suffix of rho and so a class of a smaller
 S_n, by strips of size rho_1.  The column extended is then the smallest
-one available, of size n - rho_1, and one memo serves every n.  Each
+one available, of size n - rho_1, and one memo serves every n; so does
+the memo of the r-strips on each shape, one row per (r, shape).  Each
 multiplicity mode is one class function V of S_N (`class_weights`), built
 from the hook weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
 chi^mu(rho)^2, which is computed once per (n, h).  A multiplicity is one
@@ -27,8 +28,8 @@ from .partitions import (Hook, Partition, as_hook, enumerate_partitions,
 
 
 class _Memo:
-    """In-process memo of character columns, hook weights and Kronecker
-    coefficients.
+    """In-process memo of character columns, strip rows, hook weights and
+    Kronecker coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -37,6 +38,7 @@ class _Memo:
         self.chi: dict[tuple, dict[int, int]] = {}
         self.kron: dict[tuple, int] = {}
         self.masks: dict[int, int] = {}
+        self.strips: dict[int, dict[int, tuple]] = {}
         self.weights: dict[tuple, dict] = {}
 
 
@@ -69,25 +71,42 @@ def _column(rho: Partition) -> dict[int, int]:
 
 
 def _add_strips(prev: dict[int, int], r: int) -> dict[int, int]:
+    rows = _MEMO.strips.setdefault(r, {})
+    col: dict[int, int] = {}
+    get = col.get
+    for mask, c in prev.items():
+        row = rows.get(mask) or rows.setdefault(mask, _strip_row(mask, r))
+        keys = iter(row)
+        minus = next(keys)
+        for key in keys:
+            col[key] = get(key, 0) + (-c if minus & 1 else c)
+            minus >>= 1
+    # a copy holds the nonzero values in no more space than they need
+    return {key: c for key, c in col.items() if c} if 0 in col.values() else col
+
+
+def _strip_row(mask: int, r: int) -> tuple:
+    """(minus, target, ...): the masks of the shapes that add an r-strip
+    to that of `mask`, bit i of minus set where the i-th has sign
+    (-1)^(height - 1) = -1."""
     # r more low beads keep the bead count equal to the size; moving a bead
     # from b to an empty b + r adds an r-strip whose height is one more
     # than the number of beads strictly between
-    low = (1 << r) - 1
-    between = low >> 1
-    col: dict[int, int] = {}
-    for mask, c in prev.items():
-        mask = (mask << r) | low
-        movable = mask & ~(mask >> r)  # beads b with b + r empty
-        while movable:
-            bit = movable & -movable
-            movable ^= bit
-            key = mask ^ bit ^ (bit << r)
-            jumped = ((mask >> bit.bit_length()) & between).bit_count()
-            col[key] = col.get(key, 0) + (-c if jumped & 1 else c)
-    # store each mask once across all columns: an int past 2**30 takes 32
-    # bytes, and after a sweep to n = 22 each mask sits in some 350 columns
+    between = (1 << r - 1) - 1
+    beads = (mask << r) | (1 << r) - 1
+    movable = beads & ~(beads >> r)  # beads b with b + r empty
+    # store each mask once across all rows and columns: an int past 2**30
+    # takes 32 bytes, and after a sweep to n = 22 each sits in 350 columns
     keys = _MEMO.masks
-    return {keys.setdefault(key, key): c for key, c in col.items() if c}
+    row = [0]
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        key = beads ^ bit ^ (bit << r)
+        if ((beads >> bit.bit_length()) & between).bit_count() & 1:
+            row[0] |= 1 << len(row) - 1
+        row.append(keys.setdefault(key, key))
+    return tuple(row)
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
@@ -193,9 +212,3 @@ def m_bar_lambda(lam: Partition, h) -> int:
     level: by the branching rule, the sum of m_lambda over all one-box
     extensions of lam."""
     return char_multiplicity("bar", lam, h)
-
-
-def dimension(lam: Partition) -> int:
-    """Degree of chi^lam (number of standard tableaux)."""
-    n = sum(lam)
-    return mn_character(lam, (1,) * n) if n else 1

@@ -9,7 +9,7 @@ import json
 import signal
 import sys
 
-from .partitions import Hook, parse_partition
+from .partitions import Hook, Partition, parse_partition
 from .poincare import (budzik_suite, lemmas_suite, multiplicity, p_series,
                        univariate_coefficients)
 from .qseries import qidentities_suite
@@ -19,7 +19,17 @@ def _parse_hook(text: str) -> Hook:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"hook must be 'k,l': {text!r}")
-    return Hook(int(parts[0]), int(parts[1]))
+    try:
+        return Hook(int(parts[0]), int(parts[1]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad hook {text!r}: {exc}") from None
+
+
+def _parse_lambda(text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
 
 def _parse_hooks(text: str) -> list[Hook]:
@@ -53,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=formats, default="text")
 
     p = sub.add_parser("mlambda", help="tensor-sum multiplicity of a character")
-    p.add_argument("--lambda", dest="lam", required=True, type=parse_partition)
+    p.add_argument("--lambda", dest="lam", required=True, type=_parse_lambda)
     p.add_argument("--hook", required=True, type=_parse_hook)
     p.add_argument("--bar", action="store_true",
                    help="concomitant variant (restricted one level down)")
@@ -61,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("mprime", help="multiplicity jump against the next smaller hook")
-    p.add_argument("--lambda", dest="lam", required=True, type=parse_partition)
+    p.add_argument("--lambda", dest="lam", required=True, type=_parse_lambda)
     p.add_argument("--hook", required=True, type=_parse_hook)
     p.add_argument("--route", choices=["residue", "char"], default="residue")
     p.add_argument("--bar", action="store_true")

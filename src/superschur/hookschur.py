@@ -196,11 +196,6 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     return result
 
 
-def schur_eval(lam: Partition, A: Alphabet) -> LaurentPoly:
-    """s_lam(A); zero when the shape is taller than the alphabet."""
-    return hook_schur_eval(lam, A, Alphabet.empty(A.table))
-
-
 # -- the definitional route: tableau enumeration -------------------------
 
 def _tableaux(lam: Partition, mu: Partition, X: Alphabet,

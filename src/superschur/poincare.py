@@ -10,10 +10,8 @@ sum_rho chi^lam(rho) V(rho) for the one class function V of
 (Macdonald, Symmetric Functions and Hall Polynomials, I.7), so the
 degree-N part of sum_lam mult(lam) HS_lam(T;U) is (1/(N+b)!) sum_{rho |- N}
 V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
-(-1)^(r-1) sum u^r.  p_rho(T;U) is symmetric in T and in U, so the walk
-over the classes keeps only its monomials sorted descending within each
-block, and grows each p_rho from the class without its largest part.
-Only the residue jumps are summed per lam.
+(-1)^(r-1) sum u^r, summed over the classes in Horner form on sorted
+monomials (`_class_sums`).  Only the residue jumps are summed per lam.
 """
 
 from __future__ import annotations
@@ -130,15 +128,16 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
     the coefficient of monos[id] in p_rho(T;U)}, through the last N with a
     nonzero weight, with T the first n of `width` variables.
 
-    p_rho(T;U) is symmetric in T and in U, so it is held by its sorted
-    monomials only, each exponent vector descending within the T block and
-    within the U block, and numbered in the order they are met.
-    Multiplying by p_r moves one distinct value v of a block to v + r; the
-    sorted target takes the source coefficient times the number of entries
-    equal to v + r in its new block, with sign (-1)^(r-1) in the U block.
-    p_rho grows along a depth-first walk that puts each new part r >= rho_1
-    in front, so every product extends the one of rho without its largest
-    part, and the walk holds only that chain."""
+    The walk visits the classes post-order on its own stack and sums in
+    Horner form, A(sigma) = V(sigma) + sum_{r >= sigma_1} p_r A((r,) +
+    sigma), which is V(rho) p_rho / p_sigma summed over the classes rho
+    that end in sigma: one product per class, and A(()) split by degree at
+    the end.  Each A is symmetric in T and in U, so it is held by its
+    monomials sorted descending within each block, numbered in the order
+    they are met.  Multiplying by p_r moves one distinct value v of a
+    block to v + r; the sorted target takes the source coefficient times
+    the number of entries equal to v + r in its new block, with sign
+    (-1)^(r-1) in the U block."""
     top = max((N for N, v in enumerate(weights) if v), default=0)
     monos = [(0,) * width]
     ids = {monos[0]: 0}
@@ -165,30 +164,31 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
                 row += t, sign * f[lo:hi].count(w)
         return tuple(row)
 
-    sums = [{} for _ in range(top + 1)]
-    sums[0][0] = weights[0].get((), 0)  # p_() = 1, the monomial of id 0
-    # (r, rho, |rho|, p_rho): visit (r,) + rho, r >= rho_1
-    stack = [(r, (), 0, {0: 1}) for r in range(top, 0, -1)]
-    while stack:
-        r, rho, size, p = stack.pop()
-        row_of = moves[r]
-        q = {}
-        get = q.get
-        for k, c in p.items():
-            row = row_of.get(k)
-            if row is None:
-                row = row_of[k] = targets(k, r)
-            pairs = iter(row)
+    # [sigma, |sigma|, A(sigma) so far, next part r to put in front]
+    w = weights[0].get(())
+    stack = [[(), 0, {0: w} if w else {}, 1]]
+    while True:
+        frame = stack[-1]
+        sigma, size, acc, r = frame
+        if size + r <= top:
+            frame[3] = r + 1
+            rho = (r,) + sigma
+            w = weights[size + r].get(rho)
+            stack.append([rho, size + r, {0: w} if w else {}, r])
+            continue
+        stack.pop()
+        if not stack:
+            break
+        r = sigma[0]
+        row_of, parent = moves[r], stack[-1][2]
+        get = parent.get
+        for k, c in acc.items():
+            pairs = iter(row_of.get(k) or row_of.setdefault(k, targets(k, r)))
             for t, f in zip(pairs, pairs):
-                q[t] = get(t, 0) + f * c
-        rho, size = (r,) + rho, size + r
-        w = weights[size].get(rho)
-        if w:
-            acc = sums[size]
-            get = acc.get
-            for k, c in q.items():
-                acc[k] = get(k, 0) + w * c
-        stack.extend((s, rho, size, q) for s in range(top - size, r - 1, -1))
+                parent[t] = get(t, 0) + f * c
+    sums = [{} for _ in range(top + 1)]
+    for k, c in acc.items():
+        sums[sum(monos[k])][k] = c
     return monos, sums
 
 

@@ -3,9 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from superschur.characters import (_column, class_size, default_cache,
-                                   dimension, kronecker, m_bar_lambda,
-                                   m_lambda, mn_character)
+from superschur import characters
+from superschur.characters import (_column, _mask, class_size, default_cache,
+                                   kronecker, m_bar_lambda, m_lambda,
+                                   mn_character)
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 
@@ -97,6 +98,32 @@ def test_column_grows_from_the_class_without_its_largest_part():
     assert set(default_cache().chi) == {(3, 1, 1), (1, 1), (1,), ()}
 
 
+def test_strip_rows_built_once_per_size_and_shape(monkeypatch):
+    # every column of S_0..S_10 from a cold cache: the row of r-strips on
+    # one shape is built once, however many columns add r-strips to it,
+    # and every column still equals the removal oracle
+    _clear_default_cache()
+    built = []
+    strip_row = characters._strip_row
+
+    def counted(mask, r):
+        built.append((r, mask))
+        return strip_row(mask, r)
+
+    monkeypatch.setattr(characters, "_strip_row", counted)
+    wanted = set()
+    for n in range(11):
+        parts = enumerate_partitions(n)
+        for rho in parts:
+            col = _column(rho)
+            if rho:
+                wanted.update((rho[0], mask) for mask in _column(rho[1:]))
+            values = {_mask(lam): _mn(lam, rho) for lam in parts}
+            assert col == {m: v for m, v in values.items() if v}, rho
+    assert len(built) == len(set(built))
+    assert set(built) == wanted
+
+
 def test_values_independent_of_column_order():
     # the class rho8 of S_8 is a suffix of the class rho12 of S_12, so
     # whichever column is built first lends its suffixes to the other;
@@ -144,6 +171,11 @@ def _syt_count(lam):
             shorter = lam[:i] + ((p - 1,) if p > 1 else ()) + lam[i + 1:]
             total += _syt_count(shorter)
     return total
+
+
+def dimension(lam):
+    # the degree of chi^lam, its value at the identity class
+    return mn_character(lam, (1,) * sum(lam))
 
 
 def test_dimension_matches_tableau_count():

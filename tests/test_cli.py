@@ -174,6 +174,22 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
         assert flag in capsys.readouterr().err
 
 
+def test_bad_argument_names_its_reason(capsys):
+    # a value the parser cannot take is refused with the reason of the
+    # check that failed, not the name of a parsing helper
+    for argv, reason in (
+            (["series", "--mode", "plain", "--hook", "2,-1"],
+             "hook entries must be nonnegative"),
+            (["mprime", "--lambda", "3,0,1", "--hook", "1,1"],
+             "parts must be positive integers"),
+            (["mlambda", "--lambda", "1,2", "--hook", "1,1"],
+             "parts must be weakly decreasing"),
+            (["verify", "budzik", "--hooks", "2,x"], "invalid literal for int()")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert reason in err and "_parse" not in err, err
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["mlambda", "--lambda", "3,1", "--hook", "2,1"])

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from superschur import characters, poincare
@@ -268,6 +270,104 @@ def test_sorted_monomial_walk_equals_product_walk(mode):
                           (0, 3): 8, (4, 0): 8}.items():
             got = p_series(mode, h, n, m, D, route="char")
             assert got == _product_walk_series(mode, h, n, m, D), (mode, h, n, m, D)
+
+
+def _top_down_class_sums(weights, n, width):
+    # the class walk before Horner form: p_rho for every class, grown
+    # top-down from the class without its largest part by the same move
+    # rows, each weighted copy added into the sums of its degree
+    top = max((N for N, v in enumerate(weights) if v), default=0)
+    monos = [(0,) * width]
+    ids = {monos[0]: 0}
+    moves = [{} for _ in range(top + 1)]  # moves[r][id]: (target, factor, ...)
+
+    def targets(k: int, r: int) -> tuple:
+        e = monos[k]
+        row = []
+        for lo, hi in ((0, n), (n, width)):
+            sign = -1 if lo == n and r % 2 == 0 else 1
+            for i in range(lo, hi):
+                v = e[i]
+                if i > lo and e[i - 1] == v:
+                    continue
+                w = v + r
+                j = i  # w goes before the entries of the block below it
+                while j > lo and e[j - 1] < w:
+                    j -= 1
+                f = e[:j] + (w,) + e[j:i] + e[i + 1:]
+                t = ids.get(f)
+                if t is None:
+                    t = ids[f] = len(monos)
+                    monos.append(f)
+                row += t, sign * f[lo:hi].count(w)
+        return tuple(row)
+
+    sums = [{} for _ in range(top + 1)]
+    sums[0][0] = weights[0].get((), 0)  # p_() = 1, the monomial of id 0
+    # (r, rho, |rho|, p_rho): visit (r,) + rho, r >= rho_1
+    stack = [(r, (), 0, {0: 1}) for r in range(top, 0, -1)]
+    while stack:
+        r, rho, size, p = stack.pop()
+        row_of = moves[r]
+        q = {}
+        get = q.get
+        for k, c in p.items():
+            row = row_of.get(k)
+            if row is None:
+                row = row_of[k] = targets(k, r)
+            pairs = iter(row)
+            for t, f in zip(pairs, pairs):
+                q[t] = get(t, 0) + f * c
+        rho, size = (r,) + rho, size + r
+        w = weights[size].get(rho)
+        if w:
+            acc = sums[size]
+            get = acc.get
+            for k, c in q.items():
+                acc[k] = get(k, 0) + w * c
+        stack.extend((s, rho, size, q) for s in range(top - size, r - 1, -1))
+    return monos, sums
+
+
+def _by_monomial(monos, sums):
+    return [{monos[k]: c for k, c in acc.items() if c} for acc in sums]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bottom_up_walk_equals_top_down_walk(mode):
+    # three even variables on two hooks, and two or three odd ones, where
+    # even powers carry a sign
+    for h, n, m, D in (((2, 2), 3, 0, 14), ((1, 1), 3, 0, 14),
+                       ((2, 1), 1, 2, 10), ((2, 1), 0, 3, 9)):
+        weights = [class_weights(mode, Hook(*h), N) for N in range(D + 1)]
+        got = _by_monomial(*poincare._class_sums(weights, n, n + m))
+        want = _by_monomial(*_top_down_class_sums(weights, n, n + m))
+        assert got == want, (mode, h, n, m, D)
+
+
+def _stack_depth():
+    # the frames below this call, counted as the recursion limit counts
+    # them: C calls in between take a place too
+    def down(k):
+        try:
+            return down(k + 1)
+        except RecursionError:
+            return k
+    return sys.getrecursionlimit() - down(0)
+
+
+def test_class_walk_keeps_its_own_stack():
+    # the first call fills the column memo, which recurses once per part;
+    # the walk then runs on its own stack, so the same series is summed
+    # again under a limit just above this test's frame depth
+    want = p_series("plain", (2, 1), 1, 0, 16, route="char")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 10)
+    try:
+        got = p_series("plain", (2, 1), 1, 0, 16, route="char")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_sorted_monomial_walk_multiplies_no_polynomial(monkeypatch):
