@@ -13,13 +13,21 @@ one available, of size n - rho_1, and one memo serves every n; so does
 the memo of the r-strips on each shape, one row per (r, shape).  Each
 multiplicity mode is one class function V of S_N (`class_weights`), built
 from the hook weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
-chi^mu(rho)^2, which is computed once per (n, h).  A multiplicity is one
-inner product, (1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the
-bar modes, and the Poincare series reads the same V against power sums.
+chi^mu(rho)^2, which is computed once per (n, h) without the column of
+rho: each chi^mu(rho) is read in the removal direction, a signed sum over
+the mu less one rho_1-strip in the column of rho[1:] (one memoised row per
+(r, shape), the transpose of the adding row), and the sum runs over the
+smaller of h and its complement, since sum_{all mu} chi^mu(rho)^2 =
+n!/|C_rho| (column orthogonality).  So a series through degree n needs
+only the columns of the classes rho[1:], the sigma with |sigma| + sigma_1
+<= n.  A multiplicity is one inner product, (1/(N + b)!) sum_rho
+chi^lam(rho) V(rho) with b = 1 for the bar modes, and the Poincare series
+reads the same V against power sums.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial
 
 from .laurent import exact_quotient
@@ -28,8 +36,8 @@ from .partitions import (Hook, Partition, as_hook, enumerate_partitions,
 
 
 class _Memo:
-    """In-process memo of character columns, strip rows, hook weights and
-    Kronecker coefficients.
+    """In-process memo of character columns, strip rows in both directions,
+    hook weights and Kronecker coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -39,10 +47,12 @@ class _Memo:
         self.kron: dict[tuple, int] = {}
         self.masks: dict[int, int] = {}
         self.strips: dict[int, dict[int, tuple]] = {}
+        self.pulls: dict[int, dict[int, tuple]] = {}
         self.weights: dict[tuple, dict] = {}
 
 
 _MEMO = _Memo()
+_ZEROS = repeat(0)  # map(col.get, keys, _ZEROS) reads absent keys as 0
 
 
 def default_cache() -> _Memo:
@@ -150,20 +160,70 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return g
 
 
+def _pull_row(mask: int, r: int) -> tuple:
+    """(plus, minus): the masks of the shapes that lose an r-strip from
+    that of `mask`, split by the sign (-1)^(height - 1) of the strip.  The
+    transpose of `_strip_row`: Murnaghan-Nakayama in the removal direction."""
+    # moving a bead from b to an empty b - r removes an r-strip whose height
+    # is one more than the number of beads strictly between; the shape left
+    # has r beads too many, all at 0..r-1, so shifting them out keeps the
+    # bead count equal to the size
+    between = (1 << r - 1) - 1
+    movable = mask & ~(mask << r) & -(1 << r)  # beads b >= r with b - r empty
+    keys = _MEMO.masks
+    plus, minus = [], []
+    while movable:
+        bit = movable & -movable
+        movable ^= bit
+        key = (mask ^ bit ^ bit >> r) >> r
+        odd = ((mask >> bit.bit_length() - r) & between).bit_count() & 1
+        (minus if odd else plus).append(keys.setdefault(key, key))
+    return tuple(plus), tuple(minus)
+
+
 def _hook_weights(n: int, h: Hook) -> dict:
     """{rho: w_h(rho)} over the classes of S_n with a nonzero weight
-    w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2.  No column
-    is built when no mu of size n lies in h."""
+    w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2.
+
+    The sum runs over the smaller of h and its complement: by column
+    orthogonality sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|, so w_h(rho) =
+    n! - |C_rho| sum_{mu not in h} chi^mu(rho)^2.  Each chi^mu(rho) is
+    pulled from the column of rho[1:] by `_pull_row`, so the column of rho
+    is never built, and no column at all when the smaller set is empty."""
     hit = _MEMO.weights.get((n, h))
     if hit is not None:
         return hit
-    masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
-    weights = {}
-    for rho in partitions_of(n) if masks else ():
-        col = _column(rho)
-        w = sum(col.get(m, 0) ** 2 for m in masks)
+    classes = partitions_of(n)
+    inside = enumerate_partitions(n, in_hook=h)
+    complement = len(classes) - len(inside) < len(inside)
+    if complement:
+        inside = set(inside)
+        masks = [_mask(mu) for mu in classes if mu not in inside]
+    else:
+        masks = [_mask(mu) for mu in inside]
+    full = factorial(n)
+    weights = dict.fromkeys(classes, full) if complement and not masks else {}
+    rows_of = {}
+    for rho in classes if masks else ():
+        r = rho[0]
+        rows = rows_of.get(r)
+        if rows is None:
+            memo = _MEMO.pulls.setdefault(r, {})
+            rows = [memo.get(m) or memo.setdefault(m, _pull_row(m, r)) for m in masks]
+            # a shape with no r-strip to lose has chi = 0 on every such class
+            rows = rows_of[r] = [row for row in rows if row != ((), ())]
+        get = _column(rho[1:]).get
+        w = 0
+        for plus, minus in rows:
+            c = sum(map(get, plus, _ZEROS))
+            if minus:
+                c -= sum(map(get, minus, _ZEROS))
+            w += c * c
+        w *= class_size(rho)
+        if complement:
+            w = full - w
         if w:
-            weights[rho] = class_size(rho) * w
+            weights[rho] = w
     _MEMO.weights[n, h] = weights
     return weights
 
@@ -176,7 +236,9 @@ def class_weights(mode: str, h: Hook, N: int) -> dict:
     V is w_h, less w_{h.shrink()} for a jump when min(k, l) > 0.  The bar
     modes restrict one S_n level down, s_1^perp = d/dp_1 (the branching
     rule), so V(rho) = m_1(rho + 1) W(rho + 1), where rho + 1 is rho with
-    one more part 1 and W is the weight of the mode without its bar."""
+    one more part 1 and W is the weight of the mode without its bar.
+    The weights read the columns of the classes rho[1:] of S_{N+b}, never
+    the column of a class of S_{N+b} itself (`_hook_weights`)."""
     bar = mode.startswith("bar")
     weights = _hook_weights(N + bar, h)
     if mode.endswith("prime") and min(h.k, h.l) > 0:

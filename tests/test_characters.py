@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from superschur import characters
-from superschur.characters import (_column, _mask, class_size, default_cache,
-                                   kronecker, m_bar_lambda, m_lambda,
-                                   mn_character)
-from superschur.partitions import (HookClass, classify_hook, conjugate,
+from superschur.characters import (_column, _hook_weights, _mask, _pull_row,
+                                   _strip_row, class_size, class_weights,
+                                   default_cache, kronecker, m_bar_lambda,
+                                   m_lambda, mn_character)
+from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 
 from conftest import partitions
@@ -141,6 +142,112 @@ def test_values_independent_of_column_order():
         return chars, mults
 
     assert values([rho12, rho8]) == values([rho8, rho12])
+
+
+def _signed(row):
+    # a `_strip_row` (minus, target, ...) or a `_pull_row` (plus, minus),
+    # read as {mask: sign}
+    if isinstance(row[0], tuple):
+        plus, minus = row
+        return {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
+    return {key: -1 if row[0] >> i & 1 else 1 for i, key in enumerate(row[1:])}
+
+
+def test_pull_row_is_the_transpose_of_strip_row():
+    # removing an r-strip from the target gives the source with the sign
+    # that adding it to the source gives the target, and nothing else
+    for size in range(10):
+        for lam in enumerate_partitions(size):
+            mask = _mask(lam)
+            for r in range(1, 10):
+                added = _signed(_strip_row(mask, r))
+                pulled = _signed(_pull_row(mask, r))
+                below = {_mask(mu) for mu in enumerate_partitions(size - r)} \
+                    if r <= size else set()
+                assert set(pulled) <= below, (lam, r)
+                for target, sign in added.items():
+                    assert _signed(_pull_row(target, r)).get(mask) == sign, (lam, r)
+                for source, sign in pulled.items():
+                    assert _signed(_strip_row(source, r)).get(mask) == sign, (lam, r)
+
+
+WEIGHT_HOOKS = [Hook(0, 0), Hook(1, 0), Hook(0, 2), Hook(1, 1), Hook(2, 1),
+                Hook(1, 2), Hook(2, 2), Hook(3, 1)]
+
+
+def _full_column_weights(n, h):
+    # the per-class sum over the full column of every class of S_n
+    masks = [_mask(mu) for mu in enumerate_partitions(n, in_hook=h)]
+    weights = {}
+    for rho in enumerate_partitions(n):
+        w = sum(_column(rho).get(m, 0) ** 2 for m in masks)
+        if w:
+            weights[rho] = class_size(rho) * w
+    return weights
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_hook_weights_match_full_columns(sweep):
+    # from a cold memo and after every column of S_0..S_12 is built: the
+    # weights must not depend on which columns happen to be memoised
+    _clear_default_cache()
+    if sweep:
+        for n in range(13):
+            for rho in enumerate_partitions(n):
+                _column(rho)
+    got = {(n, h): _hook_weights(n, h) for n in range(13) for h in WEIGHT_HOOKS}
+    for (n, h), weights in got.items():
+        assert weights == _full_column_weights(n, h), (n, h)
+
+
+def test_hook_weights_sum_over_the_smaller_set(monkeypatch):
+    # at n = 10, H(2, 2) misses 2 of the 42 shapes and H(1, 1) holds 10:
+    # the first sums over its complement, the second over the hook
+    pulled = []
+    pull_row = characters._pull_row
+
+    def counted(mask, r):
+        pulled.append(mask)
+        return pull_row(mask, r)
+
+    monkeypatch.setattr(characters, "_pull_row", counted)
+    shapes = enumerate_partitions(10)
+    for h, inside in ((Hook(2, 2), False), (Hook(1, 1), True)):
+        _clear_default_cache()
+        pulled.clear()
+        weights = _hook_weights(10, h)
+        hook = enumerate_partitions(10, in_hook=h)
+        summed = hook if inside else [mu for mu in shapes if mu not in hook]
+        assert len(summed) == (10 if inside else 2)
+        assert set(pulled) == {_mask(mu) for mu in summed}, h
+        assert weights == _full_column_weights(10, h), h
+
+
+def test_series_weights_store_only_parent_columns():
+    # the weights of S_0..S_14 read the column of rho[1:] for each class
+    # rho, never that of rho: the memo holds the sigma with |sigma| +
+    # sigma_1 <= 14, not all 508 classes of S_0..S_14
+    _clear_default_cache()
+    for mode in ("plain", "prime"):
+        for N in range(15):
+            class_weights(mode, Hook(2, 2), N)
+    parents = {sigma for n in range(15) for sigma in enumerate_partitions(n)
+               if n + (sigma[0] if sigma else 0) <= 14}
+    assert set(default_cache().chi) == parents
+    assert len(parents) == 135
+
+
+def test_full_hook_weights_build_no_column(monkeypatch):
+    # every shape of 8 lies in H(2, 2): the complement is empty, so each
+    # weight is |C_rho| z_rho = 8! and no column is read
+    def refuse(*args):
+        raise AssertionError("character column built")
+
+    _clear_default_cache()
+    monkeypatch.setattr(characters, "_add_strips", refuse)
+    weights = _hook_weights(8, Hook(2, 2))
+    assert weights == dict.fromkeys(enumerate_partitions(8), math.factorial(8))
+    assert not default_cache().chi
 
 
 def test_character_size_mismatch_rejected():
