@@ -31,13 +31,13 @@ from itertools import repeat
 from math import factorial
 
 from .laurent import exact_quotient
-from .partitions import (Hook, Partition, as_hook, enumerate_partitions,
-                         partitions_of)
+from .partitions import Hook, Partition, as_hook, partitions_of
 
 
 class _Memo:
     """In-process memo of character columns, strip rows in both directions,
-    hook weights and Kronecker coefficients.
+    class sizes, hook weights, Kronecker coefficients, and the class walk
+    tables of the Poincare series (`poincare._class_sums`).
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -48,7 +48,9 @@ class _Memo:
         self.masks: dict[int, int] = {}
         self.strips: dict[int, dict[int, tuple]] = {}
         self.pulls: dict[int, dict[int, tuple]] = {}
+        self.sizes: dict[tuple, int] = {}
         self.weights: dict[tuple, dict] = {}
+        self.walks: dict[tuple, tuple] = {}
 
 
 _MEMO = _Memo()
@@ -194,7 +196,7 @@ def _hook_weights(n: int, h: Hook) -> dict:
     if hit is not None:
         return hit
     classes = partitions_of(n)
-    inside = enumerate_partitions(n, in_hook=h)
+    inside = [mu for mu in classes if len(mu) <= h.k or mu[h.k] <= h.l]
     complement = len(classes) - len(inside) < len(inside)
     if complement:
         inside = set(inside)
@@ -202,6 +204,7 @@ def _hook_weights(n: int, h: Hook) -> dict:
     else:
         masks = [_mask(mu) for mu in inside]
     full = factorial(n)
+    sizes = _MEMO.sizes
     weights = dict.fromkeys(classes, full) if complement and not masks else {}
     rows_of = {}
     for rho in classes if masks else ():
@@ -219,7 +222,7 @@ def _hook_weights(n: int, h: Hook) -> dict:
             if minus:
                 c -= sum(map(get, minus, _ZEROS))
             w += c * c
-        w *= class_size(rho)
+        w *= sizes.get(rho) or sizes.setdefault(rho, class_size(rho))
         if complement:
             w = full - w
         if w:

@@ -12,14 +12,18 @@ degree-N part of sum_lam mult(lam) HS_lam(T;U) is (1/(N+b)!) sum_{rho |- N}
 V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
 (-1)^(r-1) sum u^r, summed over the classes in Horner form on sorted
 monomials (`_class_sums`).  Only the residue jumps are summed per lam.
+What does not depend on V is built once per process: the walk's monomial
+numbering and move rows once per variable split, the packed orderings of
+a sorted block once per block.
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from math import factorial
 
-from .characters import char_multiplicity, class_weights
+from .characters import char_multiplicity, class_weights, default_cache
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
@@ -135,34 +139,18 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
     the end.  Each A is symmetric in T and in U, so it is held by its
     monomials sorted descending within each block, numbered in the order
     they are met.  Multiplying by p_r moves one distinct value v of a
-    block to v + r; the sorted target takes the source coefficient times
-    the number of entries equal to v + r in its new block, with sign
-    (-1)^(r-1) in the U block."""
+    block to v + r (`_move_row`).  The numbering and the move rows depend
+    on the split (n, width) alone, not on the weights, so they are kept
+    in `default_cache().walks`, one entry per split, shared by every
+    series on it and extended to a larger degree on demand."""
     top = max((N for N, v in enumerate(weights) if v), default=0)
-    monos = [(0,) * width]
-    ids = {monos[0]: 0}
-    moves = [{} for _ in range(top + 1)]  # moves[r][id]: (target, factor, ...)
-
-    def targets(k: int, r: int) -> tuple:
-        e = monos[k]
-        row = []
-        for lo, hi in ((0, n), (n, width)):
-            sign = -1 if lo == n and r % 2 == 0 else 1
-            for i in range(lo, hi):
-                v = e[i]
-                if i > lo and e[i - 1] == v:
-                    continue
-                w = v + r
-                j = i  # w goes before the entries of the block below it
-                while j > lo and e[j - 1] < w:
-                    j -= 1
-                f = e[:j] + (w,) + e[j:i] + e[i + 1:]
-                t = ids.get(f)
-                if t is None:
-                    t = ids[f] = len(monos)
-                    monos.append(f)
-                row += t, sign * f[lo:hi].count(w)
-        return tuple(row)
+    walks = default_cache().walks
+    walk = walks.get((n, width))
+    if walk is None:
+        monos = [(0,) * width]
+        walk = walks[n, width] = monos, {monos[0]: 0}, []
+    monos, ids, moves = walk  # moves[r][id]: (target, factor, ...)
+    moves += ({} for _ in range(len(moves), top + 1))
 
     # [sigma, |sigma|, A(sigma) so far, next part r to put in front]
     w = weights[0].get(())
@@ -183,7 +171,8 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
         row_of, parent = moves[r], stack[-1][2]
         get = parent.get
         for k, c in acc.items():
-            pairs = iter(row_of.get(k) or row_of.setdefault(k, targets(k, r)))
+            row = row_of.get(k) or row_of.setdefault(k, _move_row(monos, ids, n, k, r))
+            pairs = iter(row)
             for t, f in zip(pairs, pairs):
                 parent[t] = get(t, 0) + f * c
     sums = [{} for _ in range(top + 1)]
@@ -192,15 +181,43 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
     return monos, sums
 
 
-def _packed_orderings(block: tuple, lo: int) -> list[int]:
+def _move_row(monos: list, ids: dict, n: int, k: int, r: int) -> tuple:
+    """(target, factor, ...): p_r times the sorted monomial monos[k], with
+    T its first n entries.  Moving one distinct value v of a block to v + r
+    gives the sorted target, with factor the number of entries equal to
+    v + r in its new block and sign (-1)^(r-1) in the U block; a target
+    not met before is numbered next, in `monos` and `ids`."""
+    e = monos[k]
+    row = []
+    for lo, hi in ((0, n), (n, len(e))):
+        sign = -1 if lo == n and r % 2 == 0 else 1
+        for i in range(lo, hi):
+            v = e[i]
+            if i > lo and e[i - 1] == v:
+                continue
+            w = v + r
+            j = i  # w goes before the entries of the block below it
+            while j > lo and e[j - 1] < w:
+                j -= 1
+            f = e[:j] + (w,) + e[j:i] + e[i + 1:]
+            t = ids.get(f)
+            if t is None:
+                t = ids[f] = len(monos)
+                monos.append(f)
+            row += t, sign * f[lo:hi].count(w)
+    return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _packed_orderings(block: tuple, lo: int) -> tuple:
     """The distinct orderings of a block of exponents that starts at
     variable lo, each as its packed offset from the zero key."""
     if not block:
-        return [0]
+        return (0,)
     shift = VarTable.WIDTH * lo
-    return [(v << shift) + rest for i, v in enumerate(block)
-            if v not in block[:i]
-            for rest in _packed_orderings(block[:i] + block[i + 1:], lo + 1)]
+    return tuple((v << shift) + rest for i, v in enumerate(block)
+                 if v not in block[:i]
+                 for rest in _packed_orderings(block[:i] + block[i + 1:], lo + 1))
 
 
 def univariate_coefficients(series: LaurentPoly, D: int) -> list[int]:
@@ -287,13 +304,13 @@ def check_derivative_relation(h, n: int, D: int, primed: bool,
     if D < 1:
         raise ValueError(f"derivative check needs degree >= 1, got {D}")
     big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route=route)
-    small_table = series_table(n, 0)
-    last = n  # index of t_{n+1} in the big table
-    lin_terms = {}
-    for e, c in big.terms.items():
-        if e[last] == 1:
-            lin_terms[e[:last]] = c
-    lin = LaurentPoly(small_table, lin_terms)
+    # the terms with t_{n+1}^1, keyed by their low n fields: the same
+    # exponents of t_1..t_n packed in the n-variable table
+    low = (1 << VarTable.WIDTH * n) - 1
+    lin = LaurentPoly._from_packed(
+        series_table(n, 0),
+        {key & low: c for key, c in big.table.clip(big._packed, n, 1, 1).items()},
+        big.reach)
     bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
     ok = lin == bar
     return ok, {"hook": [h.k, h.l], "n": n, "degree": D, "primed": primed,

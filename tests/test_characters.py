@@ -223,6 +223,24 @@ def test_hook_weights_sum_over_the_smaller_set(monkeypatch):
         assert weights == _full_column_weights(10, h), h
 
 
+def test_class_sizes_computed_once_per_class(monkeypatch):
+    # every hook of WEIGHT_HOOKS weighs the classes of S_0..S_12: each
+    # class size is computed once and read from the memo after that
+    sized = []
+
+    def counted(rho):
+        sized.append(rho)
+        return class_size(rho)
+
+    monkeypatch.setattr(characters, "class_size", counted)
+    _clear_default_cache()
+    for h in WEIGHT_HOOKS:
+        for n in range(13):
+            _hook_weights(n, h)
+    assert len(sized) == len(set(sized))
+    assert default_cache().sizes == {rho: class_size(rho) for rho in sized}
+
+
 def test_series_weights_store_only_parent_columns():
     # the weights of S_0..S_14 read the column of rho[1:] for each class
     # rho, never that of rho: the memo holds the sigma with |sigma| +

@@ -1,4 +1,5 @@
 import sys
+from itertools import permutations, product
 
 import pytest
 
@@ -6,7 +7,7 @@ from superschur import characters, poincare
 from superschur.characters import (_hook_weights, class_weights, default_cache,
                                    m_bar_lambda, m_lambda)
 from superschur.hookschur import Alphabet, hook_schur_eval
-from superschur.laurent import InexactError, LaurentPoly, exact_quotient
+from superschur.laurent import InexactError, LaurentPoly, VarTable, exact_quotient
 from superschur.partitions import Hook, enumerate_partitions
 from math import factorial
 
@@ -419,3 +420,86 @@ def test_empty_hook_series_build_no_column(monkeypatch):
     for mode in MODES:
         got = p_series(mode, (0, 0), 3, 0, 16, route="char")
         assert got == LaurentPoly.const(series_table(3, 0), want[mode]), mode
+
+
+def _tuple_slice(big, n):
+    # the linear slice before packed keys: every term of the (n+1)-variable
+    # series unpacked to a tuple, those linear in t_{n+1} packed back into
+    # the n-variable table
+    return LaurentPoly(series_table(n, 0),
+                       {e[:n]: c for e, c in big.terms.items() if e[n] == 1})
+
+
+def test_linear_slice_equals_tuple_slice():
+    for h, n, D in (((2, 2), 1, 10), ((2, 1), 2, 9), ((1, 1), 3, 8)):
+        for primed in (False, True):
+            ok, report = check_derivative_relation(h, n, D, primed, route="char")
+            big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route="char")
+            bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route="char")
+            lin = _tuple_slice(big, n)
+            assert not lin.is_zero()
+            assert report["linear_slice"] == str(lin), (h, n, D, primed)
+            assert ok == (lin == bar) and ok, (h, n, D, primed)
+
+
+def _cold():
+    for memo in vars(default_cache()).values():
+        memo.clear()
+    poincare._packed_orderings.cache_clear()
+
+
+def test_series_independent_of_memo_state():
+    # the walk tables of one split serve every series on it, grown by a
+    # larger degree and read by a smaller one: each series equals the one
+    # summed from cleared memos, whichever degree came first
+    h = Hook(2, 2)
+    order = [(D, n, mode) for D in (9, 14) for n in (2, 3) for mode in MODES]
+    cold = {}
+    for key in order:
+        _cold()
+        cold[key] = p_series(key[2], h, key[1], 0, key[0], route="char")
+    for keys in (order, order[::-1]):
+        _cold()
+        for D, n, mode in keys:
+            assert p_series(mode, h, n, 0, D, route="char") == cold[D, n, mode], (D, n, mode)
+
+
+def test_move_rows_built_once_per_split(monkeypatch):
+    built = []
+    move_row = poincare._move_row
+
+    def counted(monos, ids, n, k, r):
+        built.append((n, len(monos[k]), monos[k], r))
+        return move_row(monos, ids, n, k, r)
+
+    monkeypatch.setattr(poincare, "_move_row", counted)
+    _cold()
+    # the plain H(2, 2) weights are positive on every class, since the
+    # trivial shape lies in the hook, so the first walk meets every
+    # monomial of the split through degree 10 and builds every row
+    p_series("plain", (2, 2), 2, 1, 10, route="char")
+    first = len(built)
+    assert first
+    for mode in MODES:
+        for h in ((2, 2), (2, 1), (1, 1)):
+            p_series(mode, h, 2, 1, 10, route="char")
+    assert len(built) == first
+    # a larger degree extends the rows; another split has its own
+    p_series("prime", (2, 2), 2, 1, 12, route="char")
+    assert len(built) > first
+    p_series("prime", (2, 2), 1, 2, 10, route="char")
+    assert {b[:2] for b in built} == {(2, 3), (1, 3)}
+    assert len(built) == len(set(built))
+
+
+def test_packed_orderings_equal_distinct_permutations():
+    width = VarTable.WIDTH
+    for size in range(5):
+        for block in product(range(4), repeat=size):
+            for lo in (0, 2):
+                want = {sum(v << width * (lo + i) for i, v in enumerate(p))
+                        for p in permutations(block)}
+                got = poincare._packed_orderings(block, lo)
+                # a cached result is shared by every caller, so it is a tuple
+                assert isinstance(got, tuple), block
+                assert sorted(got) == sorted(want), (block, lo)
