@@ -10,19 +10,21 @@ chi^lam(rho)} of the nonzero values; the column of rho extends that of
 rho without its largest part, a suffix of rho and so a class of a smaller
 S_n, by strips of size rho_1.  The column extended is then the smallest
 one available, of size n - rho_1, and one memo serves every n; so does
-the memo of the r-strips on each shape, one row per (r, shape).  Each
-multiplicity mode is one class function V of S_N (`class_weights`), built
-from the hook weight w_h(rho) = |C_rho| sum_{mu in h, |mu| = n}
-chi^mu(rho)^2, which is computed once per (n, h) without the column of
-rho: each chi^mu(rho) is read in the removal direction, a signed sum over
-the mu less one rho_1-strip in the column of rho[1:] (one memoised row per
-(r, shape), the transpose of the adding row), and the sum runs over the
-smaller of h and its complement, since sum_{all mu} chi^mu(rho)^2 =
-n!/|C_rho| (column orthogonality).  So a series through degree n needs
-only the columns of the classes rho[1:], the sigma with |sigma| + sigma_1
-<= n.  A multiplicity is one inner product, (1/(N + b)!) sum_rho
-chi^lam(rho) V(rho) with b = 1 for the bar modes, and the Poincare series
-reads the same V against power sums.
+the memo of the r-strips on each shape, one row per (r, shape), which
+holds the shapes at the other end of a strip as (plus, minus) tuples of
+masks split by the strip's sign.  Each multiplicity mode is one class
+function V of S_N (`class_weights`), built from the hook weight w_h(rho)
+= |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2, which is computed once
+per (n, h) without the column of rho: each chi^mu(rho) is read in the
+removal direction, a signed sum over the mu less one rho_1-strip in the
+column of rho[1:] (a row of the same format, the transpose of the adding
+row), and the sum runs over the smaller of h and its complement, since
+sum_{all mu} chi^mu(rho)^2 = n!/|C_rho| (column orthogonality).  So a
+series through degree n needs only the columns of the classes rho[1:],
+the sigma with |sigma| + sigma_1 <= n.  A multiplicity is one inner
+product, (1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the bar
+modes, and the Poincare series reads the same V against power sums.
+Every memo of this module lives in `default_cache()`.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .partitions import Hook, Partition, as_hook, partitions_of
 
 
 class _Memo:
-    """In-process memo of character columns, strip rows in both directions,
-    class sizes, hook weights, Kronecker coefficients, and the class walk
-    tables of the Poincare series (`poincare._class_sums`).
+    """In-process memo of the character data: columns, strip rows in both
+    directions, interned masks, class sizes, hook weights and Kronecker
+    coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -50,7 +52,6 @@ class _Memo:
         self.pulls: dict[int, dict[int, tuple]] = {}
         self.sizes: dict[tuple, int] = {}
         self.weights: dict[tuple, dict] = {}
-        self.walks: dict[tuple, tuple] = {}
 
 
 _MEMO = _Memo()
@@ -87,20 +88,18 @@ def _add_strips(prev: dict[int, int], r: int) -> dict[int, int]:
     col: dict[int, int] = {}
     get = col.get
     for mask, c in prev.items():
-        row = rows.get(mask) or rows.setdefault(mask, _strip_row(mask, r))
-        keys = iter(row)
-        minus = next(keys)
-        for key in keys:
-            col[key] = get(key, 0) + (-c if minus & 1 else c)
-            minus >>= 1
+        plus, minus = rows.get(mask) or rows.setdefault(mask, _strip_row(mask, r))
+        for key in plus:
+            col[key] = get(key, 0) + c
+        for key in minus:
+            col[key] = get(key, 0) - c
     # a copy holds the nonzero values in no more space than they need
     return {key: c for key, c in col.items() if c} if 0 in col.values() else col
 
 
 def _strip_row(mask: int, r: int) -> tuple:
-    """(minus, target, ...): the masks of the shapes that add an r-strip
-    to that of `mask`, bit i of minus set where the i-th has sign
-    (-1)^(height - 1) = -1."""
+    """(plus, minus): the masks of the shapes that add an r-strip to that
+    of `mask`, split by the sign (-1)^(height - 1) of the strip."""
     # r more low beads keep the bead count equal to the size; moving a bead
     # from b to an empty b + r adds an r-strip whose height is one more
     # than the number of beads strictly between
@@ -110,15 +109,14 @@ def _strip_row(mask: int, r: int) -> tuple:
     # store each mask once across all rows and columns: an int past 2**30
     # takes 32 bytes, and after a sweep to n = 22 each sits in 350 columns
     keys = _MEMO.masks
-    row = [0]
+    plus, minus = [], []
     while movable:
         bit = movable & -movable
         movable ^= bit
         key = beads ^ bit ^ (bit << r)
-        if ((beads >> bit.bit_length()) & between).bit_count() & 1:
-            row[0] |= 1 << len(row) - 1
-        row.append(keys.setdefault(key, key))
-    return tuple(row)
+        odd = ((beads >> bit.bit_length()) & between).bit_count() & 1
+        (minus if odd else plus).append(keys.setdefault(key, key))
+    return tuple(plus), tuple(minus)
 
 
 def mn_character(lam: Partition, rho: Partition) -> int:
@@ -191,7 +189,8 @@ def _hook_weights(n: int, h: Hook) -> dict:
     orthogonality sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|, so w_h(rho) =
     n! - |C_rho| sum_{mu not in h} chi^mu(rho)^2.  Each chi^mu(rho) is
     pulled from the column of rho[1:] by `_pull_row`, so the column of rho
-    is never built, and no column at all when the smaller set is empty."""
+    is never built, and that of rho[1:] is read only when some shape of
+    the set has a rho_1-strip to lose: never when the set is empty."""
     hit = _MEMO.weights.get((n, h))
     if hit is not None:
         return hit
@@ -205,24 +204,25 @@ def _hook_weights(n: int, h: Hook) -> dict:
         masks = [_mask(mu) for mu in inside]
     full = factorial(n)
     sizes = _MEMO.sizes
-    weights = dict.fromkeys(classes, full) if complement and not masks else {}
+    weights = {}
     rows_of = {}
-    for rho in classes if masks else ():
-        r = rho[0]
+    for rho in classes:
+        r = rho[0] if rho else 0  # S_0 sums over its empty complement: no rows
         rows = rows_of.get(r)
         if rows is None:
             memo = _MEMO.pulls.setdefault(r, {})
             rows = [memo.get(m) or memo.setdefault(m, _pull_row(m, r)) for m in masks]
             # a shape with no r-strip to lose has chi = 0 on every such class
             rows = rows_of[r] = [row for row in rows if row != ((), ())]
-        get = _column(rho[1:]).get
         w = 0
-        for plus, minus in rows:
-            c = sum(map(get, plus, _ZEROS))
-            if minus:
-                c -= sum(map(get, minus, _ZEROS))
-            w += c * c
-        w *= sizes.get(rho) or sizes.setdefault(rho, class_size(rho))
+        if rows:
+            get = _column(rho[1:]).get
+            for plus, minus in rows:
+                c = sum(map(get, plus, _ZEROS))
+                if minus:
+                    c -= sum(map(get, minus, _ZEROS))
+                w += c * c
+            w *= sizes.get(rho) or sizes.setdefault(rho, class_size(rho))
         if complement:
             w = full - w
         if w:

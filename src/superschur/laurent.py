@@ -363,37 +363,32 @@ class LaurentPoly:
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact division f/g of Laurent polynomials; InexactError if inexact.
 
-    Lex leading-term elimination.  Termination guard: every quotient
-    exponent must lie in the window forced by the degree ranges of f and g.
+    Leading-term elimination on the packed keys.  The largest key leads in
+    lex order with the last variable compared first, a monomial order on
+    Z^n, so each step takes one quotient term and adds its negative times g
+    with `_add_monomial_times`.  Termination guard: every quotient exponent
+    must lie in the window forced by the degree ranges of f and g.
     """
     f._check(g)
     if f.is_zero():
         return f
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    n = len(f.table)
-    rem = dict(f.terms.items())
-    gterms = dict(g.terms.items())
-    fmin = [min(e[i] for e in rem) for i in range(n)]
-    fmax = [max(e[i] for e in rem) for i in range(n)]
-    gmin = [min(e[i] for e in gterms) for i in range(n)]
-    gmax = [max(e[i] for e in gterms) for i in range(n)]
-    gkey = max(gterms)
-    gcoef = gterms[gkey]
-    quo: dict[tuple, int] = {}
-    while rem:
-        fkey = max(rem)
-        qkey = tuple(a - b for a, b in zip(fkey, gkey))
-        ok = all(fmin[i] - gmax[i] <= qkey[i] <= fmax[i] - gmin[i] for i in range(n))
-        if not ok:
+    table = f.table
+    ranges = [(f.degree_range(var), g.degree_range(var)) for var in table.names]
+    window = [(flo - ghi, fhi - glo) for (flo, fhi), (glo, ghi) in ranges]
+    glead = max(g._packed)
+    gexps, gcoef = table.unpack(glead), g._packed[glead]
+    shift = table.zero_key - glead
+    rem, quo, reach = f, {}, 0
+    while rem._packed:
+        lead = max(rem._packed)
+        exps = [a - b for a, b in zip(table.unpack(lead), gexps)]
+        if not all(lo <= a <= hi for a, (lo, hi) in zip(exps, window)):
             raise InexactError("polynomial division is not exact")
-        qc = exact_quotient(rem[fkey], gcoef, "polynomial division")
-        quo[qkey] = qc
-        for e, c in gterms.items():
-            key = tuple(a + b for a, b in zip(qkey, e))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
-    return LaurentPoly(f.table, quo)
+        c = exact_quotient(rem._packed[lead], gcoef, "polynomial division")
+        mono = LaurentPoly.monomial(table, -c, exps)
+        rem = rem._add_monomial_times(mono, g)
+        quo[lead + shift] = c
+        reach = max(reach, mono.reach)
+    return LaurentPoly._from_packed(table, quo, reach)

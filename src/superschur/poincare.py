@@ -13,8 +13,8 @@ V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
 (-1)^(r-1) sum u^r, summed over the classes in Horner form on sorted
 monomials (`_class_sums`).  Only the residue jumps are summed per lam.
 What does not depend on V is built once per process: the walk's monomial
-numbering and move rows once per variable split, the packed orderings of
-a sorted block once per block.
+numbering and move rows once per variable split (`_WALKS`), the packed
+orderings of a sorted block once per block.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 from functools import lru_cache
 from math import factorial
 
-from .characters import char_multiplicity, class_weights, default_cache
+from .characters import char_multiplicity, class_weights
 from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
@@ -31,6 +31,7 @@ from .residue import m_bar_prime_residue, m_prime_residue, reserve_kernel
 
 MODES = ("plain", "prime", "bar", "bar_prime")
 ROUTES = ("residue", "char")
+_WALKS: dict[tuple, tuple] = {}  # the tables of `_class_sums` per split (n, width)
 
 
 def series_table(n: int, m: int) -> VarTable:
@@ -141,14 +142,13 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
     they are met.  Multiplying by p_r moves one distinct value v of a
     block to v + r (`_move_row`).  The numbering and the move rows depend
     on the split (n, width) alone, not on the weights, so they are kept
-    in `default_cache().walks`, one entry per split, shared by every
-    series on it and extended to a larger degree on demand."""
+    in `_WALKS`, one entry per split, shared by every series on it and
+    extended to a larger degree on demand."""
     top = max((N for N, v in enumerate(weights) if v), default=0)
-    walks = default_cache().walks
-    walk = walks.get((n, width))
+    walk = _WALKS.get((n, width))
     if walk is None:
         monos = [(0,) * width]
-        walk = walks[n, width] = monos, {monos[0]: 0}, []
+        walk = _WALKS[n, width] = monos, {monos[0]: 0}, []
     monos, ids, moves = walk  # moves[r][id]: (target, factor, ...)
     moves += ({} for _ in range(len(moves), top + 1))
 
@@ -282,13 +282,12 @@ def lemmas_suite(max_size: int, hooks, degree: int) -> list[dict]:
     reports = []
     for h in hooks:
         h = as_hook(h)
-        for d in range(max_size + 1):
-            for lam in enumerate_partitions(d):
-                lhs = multiplicity("bar_prime", lam, h)
-                rhs = multiplicity("bar_prime", lam, h, route="char")
-                reports.append({"check": "bar_jump", "lambda": list(lam),
-                                "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
-                                "pass": lhs == rhs})
+        for lam, k, l in budzik_cases(max_size, (h,)):
+            lhs = multiplicity("bar_prime", lam, h)
+            rhs = multiplicity("bar_prime", lam, h, route="char")
+            reports.append({"check": "bar_jump", "lambda": list(lam),
+                            "k": k, "l": l, "lhs": lhs, "rhs": rhs,
+                            "pass": lhs == rhs})
         for primed in (False, True):
             _, rep = check_derivative_relation(h, 1, degree, primed)
             reports.append({"check": "derivative", **rep})

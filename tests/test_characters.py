@@ -145,12 +145,9 @@ def test_values_independent_of_column_order():
 
 
 def _signed(row):
-    # a `_strip_row` (minus, target, ...) or a `_pull_row` (plus, minus),
-    # read as {mask: sign}
-    if isinstance(row[0], tuple):
-        plus, minus = row
-        return {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
-    return {key: -1 if row[0] >> i & 1 else 1 for i, key in enumerate(row[1:])}
+    # a `_strip_row` or `_pull_row` (plus, minus), read as {mask: sign}
+    plus, minus = row
+    return {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1)}
 
 
 def test_pull_row_is_the_transpose_of_strip_row():
@@ -160,6 +157,9 @@ def test_pull_row_is_the_transpose_of_strip_row():
         for lam in enumerate_partitions(size):
             mask = _mask(lam)
             for r in range(1, 10):
+                # both builders give one format: a pair of tuples of masks
+                for row in (_strip_row(mask, r), _pull_row(mask, r)):
+                    assert len(row) == 2 and all(type(part) is tuple for part in row)
                 added = _signed(_strip_row(mask, r))
                 pulled = _signed(_pull_row(mask, r))
                 below = {_mask(mu) for mu in enumerate_partitions(size - r)} \

@@ -85,6 +85,56 @@ def test_divide_exact_roundtrip(f, g):
     assert divide_exact(f * g, g) == f
 
 
+def _divide_oracle(f, g):
+    # tuple-keyed leading-term elimination in lex order, first variable first
+    n = len(f.table)
+    rem = dict(f.terms.items())
+    gterms = dict(g.terms.items())
+    fmin = [min(e[i] for e in rem) for i in range(n)]
+    fmax = [max(e[i] for e in rem) for i in range(n)]
+    gmin = [min(e[i] for e in gterms) for i in range(n)]
+    gmax = [max(e[i] for e in gterms) for i in range(n)]
+    gkey = max(gterms)
+    gcoef = gterms[gkey]
+    quo = {}
+    while rem:
+        fkey = max(rem)
+        qkey = tuple(a - b for a, b in zip(fkey, gkey))
+        ok = all(fmin[i] - gmax[i] <= qkey[i] <= fmax[i] - gmin[i] for i in range(n))
+        if not ok:
+            raise InexactError("polynomial division is not exact")
+        qc = exact_quotient(rem[fkey], gcoef, "polynomial division")
+        quo[qkey] = qc
+        for e, c in gterms.items():
+            key = tuple(a + b for a, b in zip(qkey, e))
+            s = rem.get(key, 0) - qc * c
+            if s:
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    return LaurentPoly(f.table, quo)
+
+
+def _quotient_or_inexact(divide, f, g):
+    try:
+        return divide(f, g)
+    except InexactError:
+        return InexactError
+
+
+@given(laurent_polys(), laurent_polys())
+@settings(max_examples=100)
+def test_divide_exact_matches_tuple_oracle(f, g):
+    # the packed-key elimination leads with the last variable, the oracle
+    # with the first: an exact quotient is unique, and an inexact division
+    # raises in both orders
+    if f.is_zero() or g.is_zero():
+        return
+    for num in (f * g, f):
+        want = _quotient_or_inexact(_divide_oracle, num, g)
+        assert _quotient_or_inexact(divide_exact, num, g) == want, (num, g)
+
+
 def test_divide_exact_rejects_inexact():
     with pytest.raises(InexactError):
         divide_exact(X + 1, Y + 1)

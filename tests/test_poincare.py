@@ -445,6 +445,7 @@ def test_linear_slice_equals_tuple_slice():
 def _cold():
     for memo in vars(default_cache()).values():
         memo.clear()
+    poincare._WALKS.clear()
     poincare._packed_orderings.cache_clear()
 
 
