@@ -17,13 +17,14 @@ function V of S_N (`class_weights`), built from the hook weight w_h(rho)
 = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2, which is computed once
 per (n, h) without the column of rho: each chi^mu(rho) is read in the
 removal direction, a signed sum over the mu less one rho_1-strip in the
-column of rho[1:] (a row of the same format, the transpose of the adding
-row), and the sum runs over the smaller of h and its complement, since
-sum_{all mu} chi^mu(rho)^2 = n!/|C_rho| (column orthogonality).  So a
-series through degree n needs only the columns of the classes rho[1:],
-the sigma with |sigma| + sigma_1 <= n.  A multiplicity is one inner
-product, (1/(N + b)!) sum_rho chi^lam(rho) V(rho) with b = 1 for the bar
-modes, and the Poincare series reads the same V against power sums.
+column of rho[1:] (`_pull_row`, the transpose of the adding row, built
+afresh for each weight table), and the sum runs over the smaller of h
+and its complement, since sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|
+(column orthogonality).  So a series through degree n needs only the
+columns of the classes rho[1:], the sigma with |sigma| + sigma_1 <= n.
+A multiplicity is one inner product, (1/(N + b)!) sum_rho chi^lam(rho)
+V(rho) with b = 1 for the bar modes, and the Poincare series reads the
+same V against power sums.
 Every memo of this module lives in `default_cache()`.
 """
 
@@ -37,9 +38,8 @@ from .partitions import Hook, Partition, as_hook, partitions_of
 
 
 class _Memo:
-    """In-process memo of the character data: columns, strip rows in both
-    directions, interned masks, class sizes, hook weights and Kronecker
-    coefficients.
+    """In-process memo of the character data: columns, strip rows, class
+    sizes, hook weights and Kronecker coefficients.
 
     Not safe for concurrent mutation; each worker process has its own.
     """
@@ -47,9 +47,7 @@ class _Memo:
     def __init__(self):
         self.chi: dict[tuple, dict[int, int]] = {}
         self.kron: dict[tuple, int] = {}
-        self.masks: dict[int, int] = {}
         self.strips: dict[int, dict[int, tuple]] = {}
-        self.pulls: dict[int, dict[int, tuple]] = {}
         self.sizes: dict[tuple, int] = {}
         self.weights: dict[tuple, dict] = {}
 
@@ -106,16 +104,13 @@ def _strip_row(mask: int, r: int) -> tuple:
     between = (1 << r - 1) - 1
     beads = (mask << r) | (1 << r) - 1
     movable = beads & ~(beads >> r)  # beads b with b + r empty
-    # store each mask once across all rows and columns: an int past 2**30
-    # takes 32 bytes, and after a sweep to n = 22 each sits in 350 columns
-    keys = _MEMO.masks
     plus, minus = [], []
     while movable:
         bit = movable & -movable
         movable ^= bit
         key = beads ^ bit ^ (bit << r)
         odd = ((beads >> bit.bit_length()) & between).bit_count() & 1
-        (minus if odd else plus).append(keys.setdefault(key, key))
+        (minus if odd else plus).append(key)
     return tuple(plus), tuple(minus)
 
 
@@ -170,14 +165,13 @@ def _pull_row(mask: int, r: int) -> tuple:
     # bead count equal to the size
     between = (1 << r - 1) - 1
     movable = mask & ~(mask << r) & -(1 << r)  # beads b >= r with b - r empty
-    keys = _MEMO.masks
     plus, minus = [], []
     while movable:
         bit = movable & -movable
         movable ^= bit
         key = (mask ^ bit ^ bit >> r) >> r
         odd = ((mask >> bit.bit_length() - r) & between).bit_count() & 1
-        (minus if odd else plus).append(keys.setdefault(key, key))
+        (minus if odd else plus).append(key)
     return tuple(plus), tuple(minus)
 
 
@@ -195,13 +189,9 @@ def _hook_weights(n: int, h: Hook) -> dict:
     if hit is not None:
         return hit
     classes = partitions_of(n)
-    inside = [mu for mu in classes if len(mu) <= h.k or mu[h.k] <= h.l]
-    complement = len(classes) - len(inside) < len(inside)
-    if complement:
-        inside = set(inside)
-        masks = [_mask(mu) for mu in classes if mu not in inside]
-    else:
-        masks = [_mask(mu) for mu in inside]
+    inside = [len(mu) <= h.k or mu[h.k] <= h.l for mu in classes]
+    complement = 2 * sum(inside) > len(classes)
+    masks = [_mask(mu) for mu, flag in zip(classes, inside) if flag != complement]
     full = factorial(n)
     sizes = _MEMO.sizes
     weights = {}
@@ -210,10 +200,9 @@ def _hook_weights(n: int, h: Hook) -> dict:
         r = rho[0] if rho else 0  # S_0 sums over its empty complement: no rows
         rows = rows_of.get(r)
         if rows is None:
-            memo = _MEMO.pulls.setdefault(r, {})
-            rows = [memo.get(m) or memo.setdefault(m, _pull_row(m, r)) for m in masks]
             # a shape with no r-strip to lose has chi = 0 on every such class
-            rows = rows_of[r] = [row for row in rows if row != ((), ())]
+            rows = rows_of[r] = [row for row in map(_pull_row, masks, repeat(r))
+                                 if row != ((), ())]
         w = 0
         if rows:
             get = _column(rho[1:]).get

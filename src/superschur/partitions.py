@@ -67,6 +67,8 @@ class Hook(FrozenRecord):
 
     def __init__(self, k: int, l: int):
         self._set(k=k, l=l)
+        if not (isinstance(k, int) and isinstance(l, int)):
+            raise ValueError(f"hook entries must be integers: {self}")
         if k < 0 or l < 0:
             raise ValueError(f"hook entries must be nonnegative: {self}")
 
@@ -126,10 +128,6 @@ def classify_hook(lam: Partition, h) -> HookClass:
     if h.k == 0 or part(lam, h.k) >= h.l:
         return HookClass.TYPICAL
     return HookClass.ATYPICAL
-
-
-def in_hook(lam: Partition, h) -> bool:
-    return classify_hook(lam, h) is not HookClass.OUTSIDE
 
 
 def is_typical(lam: Partition, h) -> bool:

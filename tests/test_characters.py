@@ -10,6 +10,7 @@ from superschur.characters import (_column, _hook_weights, _mask, _pull_row,
                                    m_lambda, mn_character)
 from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
+from superschur.residue import m_prime_residue
 
 from conftest import partitions
 
@@ -171,6 +172,19 @@ def test_pull_row_is_the_transpose_of_strip_row():
                     assert _signed(_strip_row(source, r)).get(mask) == sign, (lam, r)
 
 
+def test_row_builders_leave_the_cache_alone():
+    # both row builders are pure functions of (mask, r): building every row
+    # of every shape of size <= 8 stores nothing in any memo
+    _clear_default_cache()
+    for size in range(9):
+        for lam in enumerate_partitions(size):
+            mask = _mask(lam)
+            for r in range(1, 9):
+                _strip_row(mask, r)
+                _pull_row(mask, r)
+    assert not any(vars(default_cache()).values())
+
+
 WEIGHT_HOOKS = [Hook(0, 0), Hook(1, 0), Hook(0, 2), Hook(1, 1), Hook(2, 1),
                 Hook(1, 2), Hook(2, 2), Hook(3, 1)]
 
@@ -266,6 +280,21 @@ def test_full_hook_weights_build_no_column(monkeypatch):
     weights = _hook_weights(8, Hook(2, 2))
     assert weights == dict.fromkeys(enumerate_partitions(8), math.factorial(8))
     assert not default_cache().chi
+
+
+@pytest.mark.parametrize("lam, h, call", [((2, 1), (2.0, 1), m_lambda),
+                                            ((2, 1), (2, 1.5), m_bar_lambda),
+                                            ((2, 1), (1.0, 1), m_prime_residue)])
+def test_non_integer_hook_rejected_cold_and_warm(lam, h, call):
+    # a float entry is refused by name whether or not the memo already holds
+    # the weights of the equal integer hook: no result depends on memo state
+    whole = tuple(int(x) for x in h)
+    _clear_default_cache()
+    with pytest.raises(ValueError, match=r"hook entries must be integers: Hook\("):
+        call(lam, h)
+    call(lam, whole)
+    with pytest.raises(ValueError, match=r"hook entries must be integers: Hook\("):
+        call(lam, h)
 
 
 def test_character_size_mismatch_rejected():
