@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import repeat
 from math import factorial
 
-from .laurent import exact_quotient
+from .laurent import VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, partitions_of
 
 
@@ -62,8 +62,14 @@ def default_cache() -> _Memo:
 
 def _mask(lam: Partition) -> int:
     """Beta-set of lam with |lam| beads, as a bitmask: bead i sits at
-    lam_i + |lam| - i for i = 1..|lam|, the missing parts read as 0."""
+    lam_i + |lam| - i for i = 1..|lam|, the missing parts read as 0.
+    ValueError past VarTable.LIMIT, before any shift: no character table
+    of S_n that large can be enumerated, and the same limit caps series
+    degrees."""
     n = sum(lam)
+    if n > VarTable.LIMIT:
+        raise ValueError(f"partition {lam} has size {n}, past the limit "
+                         f"{VarTable.LIMIT} of a character table")
     parts = [p for p in lam if p]
     mask = (1 << (n - len(parts))) - 1
     for i, p in enumerate(parts):

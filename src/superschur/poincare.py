@@ -11,10 +11,13 @@ sum_rho chi^lam(rho) V(rho) for the one class function V of
 degree-N part of sum_lam mult(lam) HS_lam(T;U) is (1/(N+b)!) sum_{rho |- N}
 V(rho) p_rho(T;U), with the super power sums p_r(T;U) = sum t^r +
 (-1)^(r-1) sum u^r, summed over the classes in Horner form on sorted
-monomials (`_class_sums`).  Only the residue jumps are summed per lam.
-What does not depend on V is built once per process: the walk's monomial
-numbering and move rows once per variable split (`_WALKS`), the packed
-orderings of a sorted block once per block.
+monomials (`_class_sums`).  The residue jumps are the paper's integral
+of a generating function against Delta: by the super Cauchy identity the
+coefficient of t^alpha u^beta is one integral of a product of complete
+functions (`residue.cauchy_pairing`), taken for the alpha and beta sorted
+within their blocks.  What does not depend on V is built once per
+process: the walk's monomial numbering and move rows once per variable
+split (`_WALKS`), the packed orderings of a sorted block once per block.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from functools import lru_cache
 from math import factorial
 
 from .characters import char_multiplicity, class_weights
-from .hookschur import Alphabet, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook, enumerate_partitions
-from .residue import m_bar_prime_residue, m_prime_residue, reserve_kernel
+from .residue import cauchy_pairing, m_bar_prime_residue, m_prime_residue
 
 MODES = ("plain", "prime", "bar", "bar_prime")
 ROUTES = ("residue", "char")
@@ -68,9 +70,9 @@ def p_series(mode: str, h, n: int, m: int, D: int,
 
     `plain` and `bar`, and every mode on the "char" route, are character
     sums and are assembled by power sums from the mode's one class
-    function (`_frobenius_series`).  Only `prime` and `bar_prime` on the
-    "residue" route sum the integrals per lam, over the lam inside the
-    (n, m) hook, since no other HS_lam(T;U) is nonzero (the hook theorem).
+    function (`_frobenius_series`).  `prime` and `bar_prime` on the
+    "residue" route take one integral per sorted monomial of T and of U by
+    the Cauchy pairing (`residue.cauchy_pairing`), with no term per lam.
     All sums are finite and exact.
     """
     h = as_hook(h)
@@ -88,17 +90,7 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     table = series_table(n, m)
     if route == "char" or mode in ("plain", "bar"):
         return _frobenius_series(mode, h, table, n, D)
-    T = Alphabet.symbols(table, table.names[:n])
-    U = Alphabet.symbols(table, table.names[n:])
-    # HS_lam(Z0;Z1) has reach |lam| <= D, and the bar factor adds one
-    reserve_kernel(h, D + (mode == "bar_prime"))
-    total = LaurentPoly.zero(table)
-    for d in range(D + 1):
-        for lam in enumerate_partitions(d, in_hook=(n, m)):
-            c = multiplicity(mode, lam, h, route)
-            if c:
-                total = total + hook_schur_eval(lam, T, U) * c
-    return total
+    return _spread(table, n, D, cauchy_pairing(h, n, m, D, mode == "bar_prime"))
 
 
 def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
@@ -107,24 +99,29 @@ def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
     (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N, with V
     from `class_weights` and the first n variables of `table` as T and the
     rest as U.  The class sums come from `_class_sums` on sorted monomials;
-    each is divided by (N+b)! exactly and spread over the distinct orderings
-    of its T block and of its U block, straight into packed keys."""
+    each is divided by (N+b)! exactly and spread over its orderings."""
     weights = [class_weights(mode, h, N) for N in range(D + 1)]
     monos, sums = _class_sums(weights, n, len(table))
     b = mode.startswith("bar")
+    return _spread(table, n, D, (
+        (monos[k], exact_quotient(c, factorial(N + b),
+                                  "class sum for a Poincare coefficient"))
+        for N, acc in enumerate(sums) for k, c in acc.items() if c))
+
+
+def _spread(table: VarTable, n: int, D: int, values) -> LaurentPoly:
+    """The symmetric series through degree D whose coefficient at each
+    exponent vector e, sorted within its T block (the first n variables of
+    `table`) and its U block, is the value given with it; each value is
+    spread over the distinct orderings of both blocks, straight into
+    packed keys."""
     zero_key = table.zero_key
     terms = {}
-    for N, acc in enumerate(sums):
-        for k, c in acc.items():
-            if not c:
-                continue
-            c = exact_quotient(c, factorial(N + b),
-                               "class sum for a Poincare coefficient")
-            e = monos[k]
-            uks = _packed_orderings(e[n:], n)
-            for tk in _packed_orderings(e[:n], 0):
-                for uk in uks:
-                    terms[zero_key + tk + uk] = c
+    for e, c in values:
+        uks = _packed_orderings(e[n:], n)
+        for tk in _packed_orderings(e[:n], 0):
+            for uk in uks:
+                terms[zero_key + tk + uk] = c
     return LaurentPoly._from_packed(table, terms, D)
 
 

@@ -13,13 +13,21 @@ Every integral is therefore one dot product of f against Delta's
 expansion on a box |e_i| <= R covering f's reach, built per hook by
 absorbing the factors into the Delta numerator.  R is the reach asked for,
 with no overshoot: a series knows its largest reach before its first
-integral and sizes the kernel once (`reserve_kernel`); a caller that asks
-for a larger reach later rebuilds it at that reach.
-`constant_term_with_delta` keeps the per-integrand expansion as the
-reference, inside windows widened by `slack`; the tests check that the
-kernel agrees with it for every slack.
-"""
+integral and sizes the kernel once; a caller that asks for a larger reach
+later rebuilds it at that reach.  `constant_term_with_delta` keeps the
+per-integrand expansion as the reference, inside windows widened by
+`slack`; the tests check that the kernel agrees with it for every slack.
 
+Call the sum of the x exponents of a term its x-degree.  Every entry of
+Delta has x-degree <= -kl: the difference products have x-degree 0, the
+prefactor prod x_i^-l prod y_j^k has -kl, and each geometric step
+x_i^-1 y_j lowers it by one.  So CT[f Delta] reads only the terms of f
+of x-degree >= kl, and >= kl - 1 after the bar factor HS_(1)(Z0;Z1),
+whose letters carry at most +1.  The letters of Z0 have x-degree 0 and
+those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j), so a series by the
+Cauchy pairing (`cauchy_pairing`) builds its complete functions only in
+the x-degrees that some kernel entry can read (`graded_homs`).
+"""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -116,6 +124,8 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
 
 # hook -> (R, {packed key of -e: [x^e] Delta for |e_i| <= R})
 _KERNELS: dict = {}
+# hook -> (R, the same with the bar factor summed in, on |e_i| <= R)
+_BAR_KERNELS: dict = {}
 
 
 def _kernel(table: VarTable, h, reach: int) -> dict:
@@ -123,8 +133,7 @@ def _kernel(table: VarTable, h, reach: int) -> dict:
     e finds [x^-e] Delta.  Built by one absorption of the Delta numerator
     and memoised per hook; a larger reach rebuilds it at exactly that
     reach.  A build costs about reach^(k+l-1), so callers that know their
-    largest reach ask for it first (`reserve_kernel`).  ValueError past
-    the packing limit."""
+    largest reach ask for it first.  ValueError past the packing limit."""
     hit = _KERNELS.get(h)
     if hit is not None and hit[0] >= reach:
         return hit[1]
@@ -140,11 +149,38 @@ def _kernel(table: VarTable, h, reach: int) -> dict:
     return kern
 
 
-def reserve_kernel(h, reach: int) -> None:
-    """Size the hook's kernel now for every integrand of reach up to
-    `reach`, so that a series of integrals builds it once."""
-    h = as_hook(h)
-    _kernel(z_alphabets(h)[0], h, reach)
+def _bar_kernel(table: VarTable, h, reach: int) -> dict:
+    """The kernel with the bar factor HS_(1)(Z0;Z1) = sum_{z in Z0 u Z1} z
+    summed in, sum_z w_z [x^-(e+z)] Delta with w_z the multiplicity of z,
+    on the box |e_i| <= reach, from the kernel of one more reach.  So
+    f HS_(1) is paired with Delta without forming the product.  Memoised
+    per hook like the kernel."""
+    hit = _BAR_KERNELS.get(h)
+    if hit is not None and hit[0] >= reach:
+        return hit[1]
+    kern = _kernel(table, h, reach + 1)
+    _, z0, z1 = z_alphabets(h)
+    zero_key = table.zero_key
+    letters = [(z - zero_key, w)
+               for z, w in (z0.sum_poly() + z1.sum_poly())._packed.items()]
+    summed: dict[int, int] = {}
+    get = summed.get
+    for key, c in kern.items():
+        for shift, w in letters:
+            summed[key - shift] = get(key - shift, 0) + w * c
+    for i in range(len(table)):
+        summed = table.clip(summed, i, -reach, reach)
+    summed = {key: c for key, c in summed.items() if c}
+    _BAR_KERNELS[h] = (reach, summed)
+    return summed
+
+
+def _dot(a: dict, b: dict) -> int:
+    """sum_key a[key] b[key] over packed terms, looked up from the larger."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    return sum(c * get(key, 0) for key, c in a.items())
 
 
 def constant_term_by_kernel(f: LaurentPoly, h) -> int:
@@ -152,11 +188,7 @@ def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     [x^-e] Delta, against the memoised kernel."""
     h = as_hook(h)
     _check_table(f.table, h)
-    a, b = f._packed, _kernel(f.table, h, f.reach)
-    if len(a) > len(b):
-        a, b = b, a
-    get = b.get
-    return sum(c * get(key, 0) for key, c in a.items())
+    return _dot(f._packed, _kernel(f.table, h, f.reach))
 
 
 def _over_k_l(total: int, h: Hook) -> int:
@@ -218,16 +250,134 @@ def m_prime_residue(lam: Partition, h) -> int:
 
 def m_bar_prime_residue(lam: Partition, h) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
-    HS_(1)(Z0;Z1).  The product is never formed: HS_lam is paired with the
-    kernel shifted by each distinct z, weighted by its multiplicity,
-    sum_z sum_e f_e [x^-(e+z)] Delta, on a kernel of one more reach."""
+    HS_(1)(Z0;Z1): one dot product of HS_lam against the bar kernel, so the
+    product is never formed."""
     h = as_hook(h)
     f = hs_on_z(lam, h)
-    table = f.table
-    get = _kernel(table, h, f.reach + 1).get
-    terms = f._packed.items()
-    total = 0
-    for z, w in hs_on_z((1,), h)._packed.items():
-        shift = z - table.zero_key
-        total += w * sum(c * get(key + shift, 0) for key, c in terms)
-    return _over_k_l(total, h)
+    return _over_k_l(_dot(f._packed, _bar_kernel(f.table, h, f.reach)), h)
+
+
+def graded_homs(h, odd: bool, floor: int, top: int) -> list[dict]:
+    """h_0..h_top of Z0;Z1, or of Z1;Z0 when `odd`, each as {x-degree:
+    LaurentPoly} over the x-degrees >= floor.
+
+    The column recurrence of `super_hom_sequence` on grade buckets: a
+    letter of x-degree s adds bucket g of its source into bucket g + s,
+    one `_add_monomial_times` per bucket.  A term of column i can still
+    gain only the letters from i on, and the X letter before i, which can
+    repeat.  With Y's letters plus-first and X's minus-first, a bucket is
+    dropped as soon as those letters cannot lift it to `floor` within
+    degree `top`: they add at most top - R while an X letter of x-degree
+    +1 is left, and otherwise at most one per Y letter of x-degree +1
+    left.  Every term a dropped one would feed stays below floor, so the
+    buckets kept are exact."""
+    h = as_hook(h)
+    table, z0, z1 = z_alphabets(h)
+    X, Y = (z1, z0) if odd else (z0, z1)
+    k, zero = h.k, (0,) * len(table)
+    letters = (sorted(Y.monos, key=lambda z: -sum(z[1][:k]))
+               + sorted(X.monos, key=lambda z: (sum(z[1][:k]), z[1] != zero)))
+    ny, size = len(Y), len(letters)
+    grades = [sum(e[:k]) for _, e in letters]
+    # lift[i]: the x-degree the letters left to column i can add, one per
+    # Y letter of x-degree +1; None while an X letter of x-degree +1 is
+    # left, which can add one per degree
+    lift = [None if any(s > 0 for s in grades[max(i - 1, ny):])
+            else sum(s > 0 for s in grades[i:ny]) for i in range(size + 1)]
+
+    def keep(col: dict, i: int, R: int) -> dict:
+        gain = top - R if lift[i] is None else min(top - R, lift[i])
+        return {g: p for g, p in col.items() if g + gain >= floor and p._packed}
+
+    polys = [LaurentPoly.monomial(table, c, e) for c, e in letters]
+    none = LaurentPoly.zero(table)
+    col = [keep({0: LaurentPoly.const(table, 1)}, i, 0) for i in range(size + 1)]
+    hs = [col[size]]
+    for R in range(1, top + 1):
+        prev, col = col, [{}]
+        for i, z in enumerate(polys):
+            new = dict(col[i])
+            s = grades[i]
+            for g, p in (prev[i] if i < ny else prev[i + 1]).items():
+                new[g + s] = new.get(g + s, none)._add_monomial_times(z, p)
+            col.append(keep(new, i + 1, R))
+        hs.append(col[size])
+    return [{g: p for g, p in hd.items() if g >= floor} for hd in hs]
+
+
+def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
+    """Yield (alpha + beta, <prod_i h_alpha_i(Z0;Z1) prod_j h_beta_j(Z1;Z0),
+    1>) for the nonzero values, with the bar factor HS_(1)(Z0;Z1) inside
+    the integral when `bar`, over the alpha of n and beta of m parts,
+    each sorted descending, with |alpha| + |beta| <= D.
+
+    By the super Cauchy identity (Berele-Regev; Macdonald I.4), sum_lam
+    HS_lam(Z0;Z1) HS_lam(T;U) = prod_t sum_d h_d(Z0;Z1) t^d prod_u sum_d
+    h_d(Z1;Z0) u^d, so this is the coefficient of t^alpha u^beta in the
+    series of the jump (`bar`: of the bar jump); both sides are symmetric
+    within T and within U.  The prefix products are kept along a
+    depth-first walk over the sorted exponents, and the last factor is
+    paired with the kernel without forming the product.  The kernel reads
+    x-degree >= need = kl (kl - 1 with the bar factor), h_d(Z0;Z1) carries
+    at most kl and h_d(Z1;Z0) at most d, so each factor needs its
+    x-degrees >= need less what the other factors can carry, and a prefix
+    its x-degrees >= need less what the factors still to come can carry.
+    The kernel is built once, at reach D (D + 1 with the bar factor)."""
+    h = as_hook(h)
+    table = z_alphabets(h)[0]
+    kl = h.k * h.l
+    need = kl - bar
+    kern = _bar_kernel(table, h, D) if bar else _kernel(table, h, D)
+    width = n + m
+    # a factor's floor: need less kl per other T factor, less D with
+    # another U factor
+    cols = [graded_homs(h, False, need - kl * (n - 1) - (D if m else 0), D)
+            if n else None,
+            graded_homs(h, True, need - kl * n - (D if m > 1 else 0), D)
+            if m else None]
+    zero_key = table.zero_key
+    get = kern.get
+
+    def pair(F: dict, G: dict) -> int:
+        total = 0
+        for ga, f in F.items():
+            for gb, g in G.items():
+                if ga + gb < need:
+                    continue
+                a, b = f._packed, g._packed
+                if len(a) > len(b):
+                    a, b = b, a
+                for ka, ca in a.items():
+                    ka -= zero_key
+                    total += ca * sum(cb * get(ka + kb, 0) for kb, cb in b.items())
+        return total
+
+    def times(F: dict, G: dict, low: int) -> dict:
+        out: dict = {}
+        for ga, f in F.items():
+            for gb, g in G.items():
+                grade = ga + gb
+                if grade >= low:
+                    out[grade] = out[grade] + f * g if grade in out else f * g
+        return {g: p for g, p in out.items() if p._packed}
+
+    def walk(p: int, exps: tuple, left: int, prefix: dict):
+        top = left if p in (0, n) else min(left, exps[-1])
+        col = cols[p >= n]
+        if p == width - 1:
+            for e in range(top + 1):
+                value = pair(prefix, col[e])
+                if value:
+                    yield exps + (e,), _over_k_l(value, h)
+            return
+        # the factors after this one carry at most `rest` with a U factor
+        # among them, else kl per T factor
+        t_after, u_after = max(n - p - 1, 0), width - max(p + 1, n)
+        for e in range(top + 1):
+            rest = left - e
+            carry = rest if u_after else min(rest, kl * t_after)
+            prefix_e = times(prefix, col[e], need - carry) if e else prefix
+            if prefix_e:
+                yield from walk(p + 1, exps + (e,), rest, prefix_e)
+
+    yield from walk(0, (), D, {0: LaurentPoly.const(table, 1)})

@@ -10,6 +10,7 @@ from superschur.characters import (_column, _hook_weights, _mask, _pull_row,
                                    m_lambda, mn_character)
 from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
+from superschur.laurent import VarTable
 from superschur.residue import m_prime_residue
 
 from conftest import partitions
@@ -462,3 +463,14 @@ def test_m_lambda_matches_kronecker_oracle():
             for lam in parts:
                 expected = sum(kronecker(lam, mu, mu) for mu in hook)
                 assert m_lambda(lam, h) == expected, (lam, h)
+
+
+@pytest.mark.parametrize("lam", [(10**20,), (VarTable.LIMIT + 1,)])
+def test_partition_past_the_limit_named_before_any_shift(lam):
+    # a valid partition too large for any character table of S_n is
+    # refused by name, not with an OverflowError from the bitmask shift
+    for call in (_mask, lambda lam: m_lambda(lam, (1, 1)),
+                 lambda lam: m_bar_lambda(lam, (1, 1)),
+                 lambda lam: characters.char_multiplicity("prime", lam, (1, 1))):
+        with pytest.raises(ValueError, match=rf"\({lam[0]},\).*32767"):
+            call(lam)

@@ -190,6 +190,23 @@ def test_bad_argument_names_its_reason(capsys):
         assert reason in err and "_parse" not in err, err
 
 
+def test_partition_past_the_limit_exits_2_without_traceback(capsys):
+    # a valid partition of a size no character table can reach is a usage
+    # error naming it, on both character-sum commands; the residue route
+    # of mprime never builds a character table
+    huge = "99999999999999999999"
+    for argv in (["mlambda", "--lambda", huge, "--hook", "1,1"],
+                 ["mprime", "--lambda", huge, "--hook", "1,1", "--route", "char"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and huge in err and "32767" in err, err
+    fresh = subprocess.run([sys.executable, "-m", "superschur.cli", "mlambda",
+                            "--lambda", huge, "--hook", "1,1"],
+                           capture_output=True, env=_package_env(), timeout=60)
+    assert fresh.returncode == 2 and fresh.stdout == b""
+    assert fresh.stderr.startswith(b"error: ") and b"Traceback" not in fresh.stderr
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["mlambda", "--lambda", "3,1", "--hook", "2,1"])

@@ -3,7 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
-from superschur import characters, poincare
+from superschur import characters, hookschur, poincare, residue
 from superschur.characters import (_hook_weights, class_weights, default_cache,
                                    m_bar_lambda, m_lambda)
 from superschur.hookschur import Alphabet, hook_schur_eval
@@ -206,16 +206,17 @@ def test_derivative_relations():
             assert ok, report
 
 
-def _per_lambda_series(mode, h, n, m, D):
-    # the character assembly before power sums: one multiplicity and one
-    # Jacobi-Trudi determinant per lam in the (n, m) hook
+def _per_lambda_series(mode, h, n, m, D, route="char"):
+    # the assembly before power sums and before the Cauchy pairing: one
+    # multiplicity and one Jacobi-Trudi determinant per lam in the (n, m)
+    # hook, since no other HS_lam(T;U) is nonzero (the hook theorem)
     table = series_table(n, m)
     T = Alphabet.symbols(table, table.names[:n])
     U = Alphabet.symbols(table, table.names[n:])
     total = LaurentPoly.zero(table)
     for d in range(D + 1):
         for lam in enumerate_partitions(d, in_hook=(n, m)):
-            c = multiplicity(mode, lam, h, "char")
+            c = multiplicity(mode, lam, h, route)
             if c:
                 total = total + hook_schur_eval(lam, T, U) * c
     return total
@@ -232,6 +233,23 @@ def test_p_series_char_equals_per_lambda_oracle(mode):
         for (n, m), D in ORACLE_DEGREES.items():
             got = p_series(mode, h, n, m, D, route="char")
             assert got == _per_lambda_series(mode, h, n, m, D), (mode, h, n, m, D)
+
+
+# (n, m) -> D for the residue route against its per-lam integrals
+RESIDUE_ORACLE_DEGREES = {(1, 0): 8, (0, 1): 8, (2, 0): 7, (1, 1): 7,
+                          (0, 2): 6, (2, 1): 5}
+
+
+@pytest.mark.parametrize("mode", ("prime", "bar_prime"))
+@pytest.mark.parametrize("h", [(0, 0), (1, 0), (0, 1), (0, 2), (2, 0), (1, 1),
+                               (3, 1), (1, 3)])
+def test_p_series_residue_equals_per_lambda_oracle(mode, h):
+    # one and two blocks, one and two factors in a block, and hooks where
+    # the kernel reads every x-degree (kl = 0)
+    for (n, m), D in RESIDUE_ORACLE_DEGREES.items():
+        got = p_series(mode, h, n, m, D, route="residue")
+        want = _per_lambda_series(mode, h, n, m, D, route="residue")
+        assert got == want, (mode, h, n, m, D)
 
 
 def _product_walk_series(mode, h, n, m, D):
@@ -398,13 +416,27 @@ def test_p_series_class_sums_are_checked_exact(monkeypatch):
 def test_character_series_take_no_per_lambda_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-lambda path taken")
-    for owner, name in ((poincare, "hook_schur_eval"), (poincare, "char_multiplicity"),
+    # poincare binds no hook_schur_eval: refused in the modules that do
+    for owner, name in ((hookschur, "hook_schur_eval"), (residue, "hook_schur_eval"),
+                        (poincare, "char_multiplicity"),
                         (characters, "char_multiplicity"), (characters, "m_lambda"),
                         (characters, "m_bar_lambda")):
         monkeypatch.setattr(owner, name, refuse)
     for mode in MODES:
         assert not p_series(mode, (2, 1), 2, 1, 6, route="char").is_zero()
     for mode in ("plain", "bar"):
+        assert not p_series(mode, (2, 1), 2, 1, 6, route="residue").is_zero()
+
+
+def test_residue_series_take_no_per_lambda_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-lambda path taken")
+    for owner, name in ((hookschur, "hook_schur_eval"), (residue, "hook_schur_eval"),
+                        (poincare, "multiplicity"), (poincare, "m_prime_residue"),
+                        (poincare, "m_bar_prime_residue"),
+                        (residue, "m_prime_residue"), (residue, "m_bar_prime_residue")):
+        monkeypatch.setattr(owner, name, refuse)
+    for mode in ("prime", "bar_prime"):
         assert not p_series(mode, (2, 1), 2, 1, 6, route="residue").is_zero()
 
 

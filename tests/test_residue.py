@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from superschur import residue
-from superschur.hookschur import Alphabet, hook_schur_eval
+from superschur.hookschur import Alphabet, hook_schur_eval, super_hom_sequence
 from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.poincare import p_series
-from superschur.residue import (_KERNELS, _integral, constant_term_by_kernel,
+from superschur.residue import (_KERNELS, _bar_kernel, _integral, _kernel,
+                                constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
-                                hs_on_z, inner_product, m_bar_prime_residue,
-                                m_prime_residue, residue_table, z_alphabets)
+                                graded_homs, hs_on_z, inner_product,
+                                m_bar_prime_residue, m_prime_residue,
+                                residue_table, z_alphabets)
 
 from conftest import laurent_polys
 
@@ -179,7 +181,7 @@ def test_kernel_matches_oracle_on_hook_schur_values(h):
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
 def test_bar_factor_is_hook_schur_of_one_box(h):
-    # m_bar_prime_residue takes sum_{z in Z0 u Z1} z as the memoised HS_(1)
+    # the bar kernel sums the kernel over the letters of Z0 u Z1 as HS_(1)
     _, z0, z1 = z_alphabets(h)
     assert hs_on_z((1,), h) == z0.sum_poly() + z1.sum_poly()
 
@@ -248,4 +250,46 @@ def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, reach):
 
 def test_kernel_past_limit_rejected():
     with pytest.raises(ValueError, match="past the packing limit"):
-        residue.reserve_kernel((1, 1), VarTable.LIMIT + 1)
+        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1)
+
+
+def _x_degree(table, key, k):
+    return sum(table.unpack(key)[:k])
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_kernel_reads_only_x_degree_kl_and_up(h):
+    # the kernel keys f's exponent e at [x^-e] Delta, and every entry of
+    # Delta has x-degree <= -kl, so every key has x-degree >= kl; the bar
+    # factor's letters carry at most +1, so the bar kernel's keys have
+    # x-degree >= kl - 1
+    h = Hook(*h)
+    table = residue_table(h)
+    kl = h.k * h.l
+    kern = _kernel(table, h, 8)
+    assert kern and min(_x_degree(table, key, h.k) for key in kern) >= kl
+    bar = _bar_kernel(table, h, 8)
+    assert bar and min(_x_degree(table, key, h.k) for key in bar) >= kl - 1
+
+
+@pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+@pytest.mark.parametrize("odd", [False, True])
+def test_graded_homs_equal_complete_functions_cut_at_floor(h, odd):
+    # the buckets kept are exact: h_d of the ungraded columns, split by
+    # x-degree, on every bucket at or above the floor, and nothing below it
+    h = Hook(*h)
+    table, z0, z1 = z_alphabets(h)
+    X, Y = (z1, z0) if odd else (z0, z1)
+    D = 10
+    full = super_hom_sequence(X, Y, D)
+    for floor in (h.k * h.l, 0, -D):
+        graded = graded_homs(h, odd, floor, D)
+        assert len(graded) == D + 1
+        for d, (hd, buckets) in enumerate(zip(full, graded)):
+            want = {}
+            for key, c in hd._packed.items():
+                g = _x_degree(table, key, h.k)
+                if g >= floor:
+                    want.setdefault(g, {})[key] = c
+            got = {g: p._packed for g, p in buckets.items()}
+            assert got == want, (floor, d)
