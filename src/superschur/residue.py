@@ -10,23 +10,32 @@ y exponents, so a term that leaves a box |e_i| <= r never returns to it.
 
 The constant term CT[f Delta] = sum_e f_e [x^-e] Delta is linear in f.
 Every integral is therefore one dot product of f against Delta's
-expansion on a box |e_i| <= R covering f's reach, built per hook by
-absorbing the factors into the Delta numerator.  R is the reach asked for,
-with no overshoot: a series knows its largest reach before its first
-integral and sizes the kernel once; a caller that asks for a larger reach
-later rebuilds it at that reach.  `constant_term_with_delta` keeps the
-per-integrand expansion as the reference, inside windows widened by
-`slack`; the tests check that the kernel agrees with it for every slack.
+expansion (the kernel), built per hook by absorbing the factors into the
+Delta numerator.  `constant_term_with_delta` keeps the per-integrand
+expansion as the reference, inside windows widened by `slack`, with no
+further cut; the tests check that the kernel agrees with it for every
+slack.
 
 Call the sum of the x exponents of a term its x-degree.  Every entry of
-Delta has x-degree <= -kl: the difference products have x-degree 0, the
-prefactor prod x_i^-l prod y_j^k has -kl, and each geometric step
-x_i^-1 y_j lowers it by one.  So CT[f Delta] reads only the terms of f
-of x-degree >= kl, and >= kl - 1 after the bar factor HS_(1)(Z0;Z1),
-whose letters carry at most +1.  The letters of Z0 have x-degree 0 and
-those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j), so a series by the
-Cauchy pairing (`cauchy_pairing`) builds its complete functions only in
-the x-degrees that some kernel entry can read (`graded_homs`).
+Delta has x-degree -kl - s after s geometric steps: the difference
+products have x-degree 0, the prefactor prod x_i^-l prod y_j^k has -kl,
+and each step x_i^-1 y_j lowers it by one.  So CT[f Delta] reads only the
+terms of f of x-degree >= kl, and >= kl - 1 after the bar factor
+HS_(1)(Z0;Z1), whose letters carry at most +1.  The letters of Z0 have
+x-degree 0 and those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j), so a
+series by the Cauchy pairing (`cauchy_pairing`) builds its complete
+functions only in the x-degrees that some kernel entry can read
+(`graded_homs`).  The other way round, an f whose terms have x-degree
+<= T reads only the entries with s <= T - kl, so the kernel is cut twice:
+to a box |e_i| <= R covering f's reach, and to the keys of x-degree <= T,
+its top, by stopping each term's geometric series after T - kl steps.
+A per-lam integral takes T from lam (`_hs_top`), not from f's terms.
+Both cuts are exact, because steps only lower x exponents and the
+x-degree and only raise y exponents.  The kernel is memoised per hook
+under both keys, at exactly the reach and top asked for; a request that
+either one misses rebuilds it at the larger of each.  A series knows its
+largest reach and top before its first integral and sizes the kernel
+once.
 """
 from __future__ import annotations
 
@@ -64,21 +73,28 @@ def delta_numerator(table: VarTable, h) -> LaurentPoly:
     return result * LaurentPoly.monomial(table, 1, tuple(pre))
 
 
-def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int) -> dict:
+def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int,
+            top: int) -> dict:
     """Packed terms times every geometric factor, grouped by x index then
-    y index, keeping only what can land in the box |e_i| <= r.  Absorbing
-    one factor of (x_i^-1 y_j) adds `step`; x exponents only ever fall and
-    y exponents only rise, so a term is dropped as soon as x_i < -r or
-    y_j > r, and once every factor touching x_i is in, x_i is clipped to
-    [-r, r].  Exact on that box."""
+    y index, keeping only what can land in the box |e_i| <= r at x-degree
+    >= -top.  Absorbing one factor of (x_i^-1 y_j) adds `step`; x
+    exponents and the x-degree only ever fall and y exponents only rise,
+    so a term is dropped as soon as x_i < -r, y_j > r or its x-degree
+    < -top, and once every factor touching x_i is in, x_i is clipped to
+    [-r, r].  Each term carries top plus its x-degree, the steps it may
+    still take, in a field above its exponents, which every step lowers
+    by one.  Exact on that box and cut."""
     field, width = table.field, VarTable.WIDTH
+    above = width * len(table)
+    terms = {key + (left << above): c for key, c in terms.items()
+             if (left := top + _x_degree(table, key, k)) >= 0}
     for i in range(k):
         for j in range(ell):
-            step = (1 << (width * (k + j))) - (1 << (width * i))
+            step = (1 << (width * (k + j))) - (1 << (width * i)) - (1 << above)
             new: dict[int, int] = {}
             get = new.get
             for key, c in terms.items():
-                bound = min(field(key, i) + r, r - field(key, k + j))
+                bound = min(field(key, i) + r, r - field(key, k + j), key >> above)
                 # the m-th term of the factor is (m + 1) (-x_i^-1 y_j)^m
                 for m in range(bound + 1):
                     new[key] = get(key, 0) + c * (m + 1)
@@ -86,7 +102,21 @@ def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int) -> dict:
                     c = -c
             terms = {key: c for key, c in new.items() if c}
         terms = table.clip(terms, i, -r, r)
-    return terms
+    exponents = (1 << above) - 1
+    return {key & exponents: c for key, c in terms.items()}
+
+
+def _x_degree(table: VarTable, key: int, k: int) -> int:
+    """The sum of the x exponents of a packed key."""
+    return sum(table.field(key, i) for i in range(k))
+
+
+def _x_top(f: LaurentPoly, k: int) -> int:
+    """The largest x-degree among f's terms (0 for f = 0), summed once per
+    distinct x part: the x fields are the low ones."""
+    table, low = f.table, (1 << (VarTable.WIDTH * k)) - 1
+    xs = {key & low for key in f._packed}
+    return max((_x_degree(table, key, k) for key in xs), default=0)
 
 
 def _check_table(table: VarTable, h) -> None:
@@ -119,46 +149,70 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
         terms = clip(terms, i, -slack, limit)
     for j in range(k, k + ell):
         terms = clip(terms, j, -limit, slack)
-    return _absorb(terms, table, k, ell, slack).get(table.zero_key, 0)
+    # a term of x-degree < -k slack cannot end in the box
+    return _absorb(terms, table, k, ell, slack, k * slack).get(table.zero_key, 0)
 
 
-# hook -> (R, {packed key of -e: [x^e] Delta for |e_i| <= R})
+# hook -> (R, T, {packed key of -e: [x^e] Delta for |e_i| <= R and
+# x-degree(-e) <= T})
 _KERNELS: dict = {}
-# hook -> (R, the same with the bar factor summed in, on |e_i| <= R)
+# hook -> (R, T, the same with the bar factor summed in, on |e_i| <= R and
+# x-degree <= T)
 _BAR_KERNELS: dict = {}
 
 
-def _kernel(table: VarTable, h, reach: int) -> dict:
-    """Delta's expansion on the box |e_i| <= reach, keyed so that f's key
-    e finds [x^-e] Delta.  Built by one absorption of the Delta numerator
-    and memoised per hook; a larger reach rebuilds it at exactly that
-    reach.  A build costs about reach^(k+l-1), so callers that know their
-    largest reach ask for it first.  ValueError past the packing limit."""
-    hit = _KERNELS.get(h)
-    if hit is not None and hit[0] >= reach:
-        return hit[1]
+def _memo_hit(memo: dict, h, reach: int, top: int):
+    """(kernel, reach, top): the memoised kernel when its reach and top
+    both cover the request, else None with the larger of each, at which it
+    is rebuilt, so asking the other way round never flips it between two
+    builds."""
+    hit = memo.get(h)
+    if hit is None:
+        return None, reach, top
+    if hit[0] >= reach and hit[1] >= top:
+        return hit[2], reach, top
+    return None, max(reach, hit[0]), max(top, hit[1])
+
+
+def _kernel(table: VarTable, h, reach: int, top: int) -> dict:
+    """Delta's expansion on the box |e_i| <= reach, cut to the keys of
+    x-degree <= top, keyed so that f's key e finds [x^-e] Delta.  An
+    integrand whose terms have x-degree <= top reads nothing else.  The
+    cut is exact: every entry of Delta has x-degree -kl - s after s
+    geometric steps, and steps only lower it, so one absorption of the
+    Delta numerator stops each term after top - kl steps (none when
+    top < kl, which leaves the kernel empty).  Memoised per hook under
+    both keys; a request that either one misses rebuilds at the larger of
+    each.  A whole-box build costs about reach^(k+l-1), so callers that
+    know their largest reach and top ask for them first.  ValueError past
+    the packing limit."""
+    kern, reach, top = _memo_hit(_KERNELS, h, reach, top)
+    if kern is not None:
+        return kern
     if reach > VarTable.LIMIT:
         raise ValueError(f"kernel reach {reach} is past the packing limit "
                          f"{VarTable.LIMIT}")
-    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, reach)
+    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, reach, top)
     for i in range(h.k, len(table)):
         terms = table.clip(terms, i, -reach, reach)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
-    _KERNELS[h] = (reach, kern)
+    _KERNELS[h] = (reach, top, kern)
     return kern
 
 
-def _bar_kernel(table: VarTable, h, reach: int) -> dict:
+def _bar_kernel(table: VarTable, h, reach: int, top: int) -> dict:
     """The kernel with the bar factor HS_(1)(Z0;Z1) = sum_{z in Z0 u Z1} z
     summed in, sum_z w_z [x^-(e+z)] Delta with w_z the multiplicity of z,
-    on the box |e_i| <= reach, from the kernel of one more reach.  So
-    f HS_(1) is paired with Delta without forming the product.  Memoised
-    per hook like the kernel."""
-    hit = _BAR_KERNELS.get(h)
-    if hit is not None and hit[0] >= reach:
-        return hit[1]
-    kern = _kernel(table, h, reach + 1)
+    on the box |e_i| <= reach cut to x-degree <= top, from the kernel at
+    reach + 1 and top + 1: a letter z carries x-degree -1, 0 or +1, so e
+    reads the kernel at e + z, in the box one wider and at most one
+    higher.  So f HS_(1) is paired with Delta without forming the
+    product.  Memoised per hook by reach and top like the kernel."""
+    summed, reach, top = _memo_hit(_BAR_KERNELS, h, reach, top)
+    if summed is not None:
+        return summed
+    kern = _kernel(table, h, reach + 1, top + 1)
     _, z0, z1 = z_alphabets(h)
     zero_key = table.zero_key
     letters = [(z - zero_key, w)
@@ -170,8 +224,9 @@ def _bar_kernel(table: VarTable, h, reach: int) -> dict:
             summed[key - shift] = get(key - shift, 0) + w * c
     for i in range(len(table)):
         summed = table.clip(summed, i, -reach, reach)
-    summed = {key: c for key, c in summed.items() if c}
-    _BAR_KERNELS[h] = (reach, summed)
+    summed = {key: c for key, c in summed.items()
+              if c and _x_degree(table, key, h.k) <= top}
+    _BAR_KERNELS[h] = (reach, top, summed)
     return summed
 
 
@@ -185,10 +240,11 @@ def _dot(a: dict, b: dict) -> int:
 
 def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     """Exact constant term of f * Delta as one dot product, sum_e f_e
-    [x^-e] Delta, against the memoised kernel."""
+    [x^-e] Delta, against the memoised kernel at f's reach, cut to the
+    largest x-degree among f's terms."""
     h = as_hook(h)
     _check_table(f.table, h)
-    return _dot(f._packed, _kernel(f.table, h, f.reach))
+    return _dot(f._packed, _kernel(f.table, h, f.reach, _x_top(f, h.k)))
 
 
 def _over_k_l(total: int, h: Hook) -> int:
@@ -243,18 +299,31 @@ def hs_on_z(lam: Partition, h) -> LaurentPoly:
     return hook_schur_eval(tuple(lam), *z_alphabets(h)[1:])
 
 
+def _hs_top(lam: Partition, h: Hook) -> int:
+    """A bound on the x-degree of HS_lam(Z0;Z1), read off lam rather than
+    summed over its terms: a row of a tableau holds each letter of Z1 at
+    most once, kl of them carry +1, and every other letter at most 0."""
+    kl = h.k * h.l
+    return sum(min(part, kl) for part in lam)
+
+
 def m_prime_residue(lam: Partition, h) -> int:
-    """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump."""
-    return _integral(hs_on_z(lam, h), h)
+    """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump:
+    one dot product of HS_lam against the kernel, cut at `_hs_top`."""
+    h = as_hook(h)
+    f = hs_on_z(lam, h)
+    kern = _kernel(f.table, h, f.reach, _hs_top(lam, h))
+    return _over_k_l(_dot(f._packed, kern), h)
 
 
 def m_bar_prime_residue(lam: Partition, h) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
-    HS_(1)(Z0;Z1): one dot product of HS_lam against the bar kernel, so the
-    product is never formed."""
+    HS_(1)(Z0;Z1): one dot product of HS_lam against the bar kernel, cut
+    at `_hs_top`, so the product is never formed."""
     h = as_hook(h)
     f = hs_on_z(lam, h)
-    return _over_k_l(_dot(f._packed, _bar_kernel(f.table, h, f.reach)), h)
+    kern = _bar_kernel(f.table, h, f.reach, _hs_top(lam, h))
+    return _over_k_l(_dot(f._packed, kern), h)
 
 
 def graded_homs(h, odd: bool, floor: int, top: int) -> list[dict]:
@@ -322,12 +391,15 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     at most kl and h_d(Z1;Z0) at most d, so each factor needs its
     x-degrees >= need less what the other factors can carry, and a prefix
     its x-degrees >= need less what the factors still to come can carry.
-    The kernel is built once, at reach D (D + 1 with the bar factor)."""
+    So a product carries at most top = min(D, kl n) with no U factor, and
+    D with one.  The kernel is built once, at reach D and that top (D + 1
+    and top + 1 with the bar factor)."""
     h = as_hook(h)
     table = z_alphabets(h)[0]
     kl = h.k * h.l
     need = kl - bar
-    kern = _bar_kernel(table, h, D) if bar else _kernel(table, h, D)
+    top = D if m else min(D, kl * n)
+    kern = _bar_kernel(table, h, D, top) if bar else _kernel(table, h, D, top)
     width = n + m
     # a factor's floor: need less kl per other T factor, less D with
     # another U factor

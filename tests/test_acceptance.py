@@ -259,3 +259,50 @@ def test_11_truncation_stability():
         bar = z0.sum_poly() + z1.sum_poly()
         ok = ok and all(stable(hs_on_z(lam, h) * bar, h) for lam in _shapes(5))
     _verdict("every residue value is stable under widened truncation windows", ok)
+
+
+# hook, n -> (numerator as [(coefficient, exponents)], denominator as the
+# exponents a of its factors 1 - t^a).  On a hook (k, 0) the jump is the
+# plain multiplicity, so these are the Poincare series of the GL_k
+# invariants of n generic k x k matrices: for k = 1 the polynomial ring;
+# for k = 2 Sibirskii's and Formanek's forms, for k = 3 and n = 2
+# Teranishi's, with ten denominator factors, the Krull dimension
+# (n - 1) k^2 + 1 (Formanek, The polynomial identities and invariants of
+# n x n matrices, CBMS 78, AMS 1991; Teranishi, Nagoya Math. J. 104, 1986)
+CLASSICAL_FORMS = {
+    ((1, 0), 3): ([(1, (0, 0, 0))],
+                  [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ((2, 0), 2): ([(1, (0, 0))],
+                  [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    ((2, 0), 3): ([(1, (0, 0, 0)), (1, (1, 1, 1))],
+                  [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+                   (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]),
+    ((3, 0), 2): ([(1, (0, 0)), (1, (3, 3))],
+                  [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1),
+                   (1, 2), (0, 3), (2, 2)]),
+}
+
+
+def _expand_rational(numerator, denominator, D: int) -> dict:
+    """The terms of total degree <= D of numerator / prod_a (1 - t^a), as
+    {exponents: coefficient}; every a has positive degree."""
+    terms = {e: c for c, e in numerator}
+    for a in denominator:
+        grown = {}
+        for e, c in terms.items():
+            while sum(e) <= D:
+                grown[e] = grown.get(e, 0) + c
+                e = tuple(x + y for x, y in zip(e, a))
+        terms = grown
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_12_classical_closed_forms_in_several_variables():
+    ok = True
+    for (h, n), (numerator, denominator) in CLASSICAL_FORMS.items():
+        closed = _expand_rational(numerator, denominator, D10)
+        for route in ("char", "residue"):
+            series = p_series("prime", h, n, 0, D10, route=route)
+            ok = ok and dict(series.terms) == closed
+    _verdict("classical invariant series of generic matrices == closed forms "
+             "in several variables, both routes", ok)

@@ -10,8 +10,8 @@ from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.poincare import p_series
-from superschur.residue import (_KERNELS, _bar_kernel, _integral, _kernel,
-                                constant_term_by_kernel,
+from superschur.residue import (_BAR_KERNELS, _KERNELS, _bar_kernel,
+                                _integral, _kernel, constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
                                 graded_homs, hs_on_z, inner_product,
                                 m_bar_prime_residue, m_prime_residue,
@@ -186,18 +186,82 @@ def test_bar_factor_is_hook_schur_of_one_box(h):
     assert hs_on_z((1,), h) == z0.sum_poly() + z1.sum_poly()
 
 
+def _by_x_degree(f: LaurentPoly, k: int) -> list:
+    """f split into its parts of one x-degree each."""
+    parts = {}
+    for e, c in f.terms.items():
+        parts.setdefault(sum(e[:k]), {})[e] = c
+    return [LaurentPoly(f.table, part) for part in parts.values()]
+
+
 def test_kernel_independent_of_growth_order():
-    # the memo grows with the reach: a kernel grown step by step and one
-    # built first for the largest reach must give the same values
+    # the memo grows with the reach and with the top (the largest x-degree
+    # an integrand carries), each on its own: integrands asked by reach
+    # first, by top first, largest first and each from a cleared memo must
+    # give the same values, and the memo ends at the largest of each
     h = Hook(2, 2)
-    fs = sorted((hs_on_z(lam, h) for n in range(7) for lam in enumerate_partitions(n)),
-                key=lambda f: f.reach)
+    fs = [part for n in range(7) for lam in enumerate_partitions(n)
+          for part in [hs_on_z(lam, h)] + _by_x_degree(hs_on_z(lam, h), h.k)]
+    top = {id(f): max(sum(e[:h.k]) for e in f.terms) for f in fs}
+    assert len(set(top.values())) > 3
+    orders = [sorted(fs, key=lambda f: (f.reach, top[id(f)])),
+              sorted(fs, key=lambda f: (top[id(f)], f.reach)),
+              sorted(fs, key=lambda f: (-f.reach, -top[id(f)]))]
+    want = {id(f): constant_term_with_delta(f, h) for f in fs}
+    for order in orders:
+        _KERNELS.clear()
+        assert {id(f): constant_term_by_kernel(f, h) for f in order} == want
+        assert _KERNELS[h][:2] == (max(f.reach for f in fs), max(top.values()))
+    for f in fs:
+        _KERNELS.clear()
+        assert constant_term_by_kernel(f, h) == want[id(f)]
+
+
+def _x_degree(table, key, k):
+    return sum(table.unpack(key)[:k])
+
+
+def _cut(kern: dict, table, k: int, top: int) -> dict:
+    return {key: c for key, c in kern.items() if _x_degree(table, key, k) <= top}
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_cut_kernel_is_whole_box_kernel_below_its_top(h):
+    # the kernel cut at top equals the whole-box kernel on the keys of
+    # x-degree <= top, and so does the bar kernel; no key of the box
+    # |e_i| <= 8 has x-degree above 8k, so top 8k cuts nothing
+    h = Hook(*h)
+    table = residue_table(h)
+    kl = h.k * h.l
     _KERNELS.clear()
-    small_first = [constant_term_by_kernel(f, h) for f in fs]
-    assert _KERNELS[h][0] == fs[-1].reach
+    _BAR_KERNELS.clear()
+    whole = _kernel(table, h, 8, 8 * h.k)
+    whole_bar = _bar_kernel(table, h, 8, 8 * h.k)
+    for top in (kl, kl + 1, kl + 3, 2 * kl):
+        _KERNELS.clear()
+        _BAR_KERNELS.clear()
+        assert _kernel(table, h, 8, top) == _cut(whole, table, h.k, top), top
+        _KERNELS.clear()
+        assert _bar_kernel(table, h, 8, top) == _cut(whole_bar, table, h.k, top), top
+
+
+@pytest.mark.parametrize("h, D, size", [
+    (Hook(3, 3), 10, 361),
+    (Hook(3, 2), 12, 57),
+    (Hook(3, 3), 8, 0),
+])
+def test_one_variable_series_builds_only_the_kernel_it_reads(h, D, size):
+    # a T factor carries x-degree at most kl, and the kernel keys start at
+    # kl, so a one-variable series reads one x-degree of the kernel, and
+    # none before degree kl: the whole box holds 48,476 entries for (3,3)
+    # at reach 10, 10,770 for (3,2) at reach 12 and 14,208 for (3,3) at 8
     _KERNELS.clear()
-    large_first = [constant_term_by_kernel(f, h) for f in reversed(fs)][::-1]
-    assert small_first == large_first == [constant_term_with_delta(f, h) for f in fs]
+    series = p_series("prime", h, 1, 0, D)
+    assert len(_KERNELS[h][2]) == size
+    assert series == p_series("prime", h, 1, 0, D, route="char")
+    if h == Hook(3, 3):
+        coeffs = [series.coefficient((d,)) for d in range(D + 1)]
+        assert coeffs == [0] * 9 + [1, 2][:D - 8]
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
@@ -205,7 +269,9 @@ def test_hook_schur_reach_is_at_most_size(h):
     # the bound covers every exponent and never passes |lam|, so a series
     # through degree D sizes its kernel at D.  It is exactly |lam| where
     # Z0 holds a non-constant letter: on (1, 0), (0, 1) and (1, 1) every
-    # letter of Z0 is 1, so h_d(Z0;Z1) has reach at most |Z1| = 2kl
+    # letter of Z0 is 1, so h_d(Z0;Z1) has reach at most |Z1| = 2kl.  The
+    # x-degree bound that cuts the kernel of a per-lam integral covers
+    # every term too
     exact = h not in ((1, 0), (0, 1), (1, 1))
     for n in range(7):
         for lam in enumerate_partitions(n):
@@ -213,6 +279,8 @@ def test_hook_schur_reach_is_at_most_size(h):
             true = max((max(map(abs, e), default=0) for e in f.terms), default=0)
             assert true <= f.reach <= n, lam
             assert f.reach == n or not exact, lam
+            top = residue._hs_top(lam, Hook(*h))
+            assert all(sum(e[:h[0]]) <= top for e in f.terms), lam
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
@@ -230,31 +298,33 @@ def test_bar_integral_matches_explicit_product(h):
     ("prime", Hook(2, 2), 1, 0, 12, 12),
     ("prime", Hook(3, 2), 1, 1, 6, 6),
     ("bar_prime", Hook(2, 1), 1, 1, 7, 8),
+    ("prime", Hook(2, 2), 2, 0, 6, 6),
+    ("bar_prime", Hook(2, 1), 2, 0, 7, 8),
 ])
 def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, reach):
     # a residue-route series sizes its kernel once, before its first
-    # integral, at its largest reach: D, and D + 1 with the bar factor
+    # integral, at its largest reach and top: reach D, and top D with a U
+    # factor and min(D, kl n) without; both one more with the bar factor
+    bar = mode == "bar_prime"
+    top = (D if m else min(D, h.k * h.l * n)) + bar
     builds = []
     absorb = residue._absorb
 
-    def counted(*args):
-        builds.append(args[-1])
-        return absorb(*args)
+    def counted(terms, table, k, ell, r, cut):
+        builds.append((r, cut))
+        return absorb(terms, table, k, ell, r, cut)
 
     monkeypatch.setattr(residue, "_absorb", counted)
     _KERNELS.clear()
+    _BAR_KERNELS.clear()
     p_series(mode, h, n, m, D)
-    assert builds == [reach]
-    assert _KERNELS[h][0] == reach
+    assert builds == [(reach, top)]
+    assert _KERNELS[h][:2] == (reach, top)
 
 
 def test_kernel_past_limit_rejected():
     with pytest.raises(ValueError, match="past the packing limit"):
-        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1)
-
-
-def _x_degree(table, key, k):
-    return sum(table.unpack(key)[:k])
+        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1, 1)
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
@@ -266,9 +336,9 @@ def test_kernel_reads_only_x_degree_kl_and_up(h):
     h = Hook(*h)
     table = residue_table(h)
     kl = h.k * h.l
-    kern = _kernel(table, h, 8)
+    kern = _kernel(table, h, 8, 8 * h.k)
     assert kern and min(_x_degree(table, key, h.k) for key in kern) >= kl
-    bar = _bar_kernel(table, h, 8)
+    bar = _bar_kernel(table, h, 8, 8 * h.k)
     assert bar and min(_x_degree(table, key, h.k) for key in bar) >= kl - 1
 
 
