@@ -26,16 +26,16 @@ x-degree 0 and those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j), so a
 series by the Cauchy pairing (`cauchy_pairing`) builds its complete
 functions only in the x-degrees that some kernel entry can read
 (`graded_homs`).  The other way round, an f whose terms have x-degree
-<= T reads only the entries with s <= T - kl, so the kernel is cut twice:
-to a box |e_i| <= R covering f's reach, and to the keys of x-degree <= T,
-its top, by stopping each term's geometric series after T - kl steps.
+<= T reads only the entries with s <= T - kl, so the kernel is cut once,
+to the keys of x-degree <= T, its top, by stopping each term's geometric
+series after T - kl steps.  The cut is exact, because steps only lower
+the x-degree.  It also bounds the box: the numerator's exponents lie in
+|e_i| <= k + l - 1, and each step moves one x and one y exponent by one,
+so an entry kept lies in |e_i| <= k + l - 1 + T - kl <= T when k, l >= 1.
 A per-lam integral takes T from lam (`_hs_top`), not from f's terms.
-Both cuts are exact, because steps only lower x exponents and the
-x-degree and only raise y exponents.  The kernel is memoised per hook
-under both keys, at exactly the reach and top asked for; a request that
-either one misses rebuilds it at the larger of each.  A series knows its
-largest reach and top before its first integral and sizes the kernel
-once.
+The kernel is memoised per hook by its top alone; a request above it
+rebuilds at the new top.  A series knows its largest top before its
+first integral and sizes the kernel once.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def residue_table(h) -> VarTable:
 def delta_numerator(table: VarTable, h) -> LaurentPoly:
     """Finite part of Delta after the geometric rewrite: the difference
     products times the monomial prefactor prod x_i^-l prod y_j^k.
-    Memoised: every kernel rebuilt for a larger reach starts from it."""
+    Memoised: every kernel rebuilt for a larger top starts from it."""
     h = as_hook(h)
     k, ell = h.k, h.l
     result = LaurentPoly.const(table, 1)
@@ -153,66 +153,54 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     return _absorb(terms, table, k, ell, slack, k * slack).get(table.zero_key, 0)
 
 
-# hook -> (R, T, {packed key of -e: [x^e] Delta for |e_i| <= R and
-# x-degree(-e) <= T})
+# hook -> (T, {packed key of -e: [x^e] Delta for x-degree(-e) <= T})
 _KERNELS: dict = {}
-# hook -> (R, T, the same with the bar factor summed in, on |e_i| <= R and
-# x-degree <= T)
+# hook -> (T, the same with the bar factor summed in, on x-degree <= T)
 _BAR_KERNELS: dict = {}
 
 
-def _memo_hit(memo: dict, h, reach: int, top: int):
-    """(kernel, reach, top): the memoised kernel when its reach and top
-    both cover the request, else None with the larger of each, at which it
-    is rebuilt, so asking the other way round never flips it between two
-    builds."""
-    hit = memo.get(h)
-    if hit is None:
-        return None, reach, top
-    if hit[0] >= reach and hit[1] >= top:
-        return hit[2], reach, top
-    return None, max(reach, hit[0]), max(top, hit[1])
-
-
-def _kernel(table: VarTable, h, reach: int, top: int) -> dict:
-    """Delta's expansion on the box |e_i| <= reach, cut to the keys of
-    x-degree <= top, keyed so that f's key e finds [x^-e] Delta.  An
-    integrand whose terms have x-degree <= top reads nothing else.  The
-    cut is exact: every entry of Delta has x-degree -kl - s after s
-    geometric steps, and steps only lower it, so one absorption of the
-    Delta numerator stops each term after top - kl steps (none when
-    top < kl, which leaves the kernel empty).  Memoised per hook under
-    both keys; a request that either one misses rebuilds at the larger of
-    each.  A whole-box build costs about reach^(k+l-1), so callers that
-    know their largest reach and top ask for them first.  ValueError past
-    the packing limit."""
-    kern, reach, top = _memo_hit(_KERNELS, h, reach, top)
-    if kern is not None:
-        return kern
-    if reach > VarTable.LIMIT:
-        raise ValueError(f"kernel reach {reach} is past the packing limit "
+def _kernel(table: VarTable, h, top: int) -> dict:
+    """Delta's expansion cut to the keys of x-degree <= top, keyed so that
+    f's key e finds [x^-e] Delta.  An integrand whose terms have x-degree
+    <= top reads nothing else.  The cut is exact: every entry of Delta has
+    x-degree -kl - s after s geometric steps, and steps only lower it, so
+    one absorption of the Delta numerator stops each term after top - kl
+    steps, on the box k + l - 1 + top - kl that those steps can reach.
+    Below kl the kernel is empty, whatever the memo holds, and no
+    numerator is built.  Memoised per hook by its top; a request above it
+    rebuilds at the new top.  ValueError past the packing limit, which
+    with k, l >= 1 bounds every exponent too."""
+    if top > VarTable.LIMIT:
+        raise ValueError(f"kernel top {top} is past the packing limit "
                          f"{VarTable.LIMIT}")
-    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, reach, top)
-    for i in range(h.k, len(table)):
-        terms = table.clip(terms, i, -reach, reach)
+    kl = h.k * h.l
+    if top < kl:
+        return {}
+    hit = _KERNELS.get(h)
+    if hit is not None and hit[0] >= top:
+        return hit[1]
+    box = h.k + h.l - 1 + top - kl
+    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, box, top)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
-    _KERNELS[h] = (reach, top, kern)
+    _KERNELS[h] = (top, kern)
     return kern
 
 
-def _bar_kernel(table: VarTable, h, reach: int, top: int) -> dict:
+def _bar_kernel(table: VarTable, h, top: int) -> dict:
     """The kernel with the bar factor HS_(1)(Z0;Z1) = sum_{z in Z0 u Z1} z
     summed in, sum_z w_z [x^-(e+z)] Delta with w_z the multiplicity of z,
-    on the box |e_i| <= reach cut to x-degree <= top, from the kernel at
-    reach + 1 and top + 1: a letter z carries x-degree -1, 0 or +1, so e
-    reads the kernel at e + z, in the box one wider and at most one
+    cut to x-degree <= top, from the kernel at top + 1: a letter z carries
+    x-degree -1, 0 or +1, so e reads the kernel at e + z, at most one
     higher.  So f HS_(1) is paired with Delta without forming the
-    product.  Memoised per hook by reach and top like the kernel."""
-    summed, reach, top = _memo_hit(_BAR_KERNELS, h, reach, top)
-    if summed is not None:
-        return summed
-    kern = _kernel(table, h, reach + 1, top + 1)
+    product.  Empty below kl - 1, and memoised per hook by its top, like
+    the kernel."""
+    if top < h.k * h.l - 1:
+        return {}
+    hit = _BAR_KERNELS.get(h)
+    if hit is not None and hit[0] >= top:
+        return hit[1]
+    kern = _kernel(table, h, top + 1)
     _, z0, z1 = z_alphabets(h)
     zero_key = table.zero_key
     letters = [(z - zero_key, w)
@@ -222,11 +210,9 @@ def _bar_kernel(table: VarTable, h, reach: int, top: int) -> dict:
     for key, c in kern.items():
         for shift, w in letters:
             summed[key - shift] = get(key - shift, 0) + w * c
-    for i in range(len(table)):
-        summed = table.clip(summed, i, -reach, reach)
     summed = {key: c for key, c in summed.items()
               if c and _x_degree(table, key, h.k) <= top}
-    _BAR_KERNELS[h] = (reach, top, summed)
+    _BAR_KERNELS[h] = (top, summed)
     return summed
 
 
@@ -240,11 +226,11 @@ def _dot(a: dict, b: dict) -> int:
 
 def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     """Exact constant term of f * Delta as one dot product, sum_e f_e
-    [x^-e] Delta, against the memoised kernel at f's reach, cut to the
-    largest x-degree among f's terms."""
+    [x^-e] Delta, against the memoised kernel cut to the largest x-degree
+    among f's terms."""
     h = as_hook(h)
     _check_table(f.table, h)
-    return _dot(f._packed, _kernel(f.table, h, f.reach, _x_top(f, h.k)))
+    return _dot(f._packed, _kernel(f.table, h, _x_top(f, h.k)))
 
 
 def _over_k_l(total: int, h: Hook) -> int:
@@ -307,23 +293,28 @@ def _hs_top(lam: Partition, h: Hook) -> int:
     return sum(min(part, kl) for part in lam)
 
 
+def _jump(lam: Partition, h, kernel) -> int:
+    """(k! l!)^-1 sum_e HS_lam(Z0;Z1)_e kernel[e], with the kernel cut at
+    `_hs_top` and fetched first: an empty one makes the value 0, so HS_lam
+    is built only when some entry can read it."""
+    h = as_hook(h)
+    kern = kernel(z_alphabets(h)[0], h, _hs_top(lam, h))
+    return _over_k_l(_dot(hs_on_z(lam, h)._packed, kern), h) if kern else 0
+
+
 def m_prime_residue(lam: Partition, h) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump:
-    one dot product of HS_lam against the kernel, cut at `_hs_top`."""
-    h = as_hook(h)
-    f = hs_on_z(lam, h)
-    kern = _kernel(f.table, h, f.reach, _hs_top(lam, h))
-    return _over_k_l(_dot(f._packed, kern), h)
+    one dot product of HS_lam against the kernel, cut at `_hs_top`, and 0
+    without HS_lam when that top is below kl."""
+    return _jump(lam, h, _kernel)
 
 
 def m_bar_prime_residue(lam: Partition, h) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
     HS_(1)(Z0;Z1): one dot product of HS_lam against the bar kernel, cut
-    at `_hs_top`, so the product is never formed."""
-    h = as_hook(h)
-    f = hs_on_z(lam, h)
-    kern = _bar_kernel(f.table, h, f.reach, _hs_top(lam, h))
-    return _over_k_l(_dot(f._packed, kern), h)
+    at `_hs_top`, so the product is never formed, and 0 without HS_lam
+    when that top is below kl - 1."""
+    return _jump(lam, h, _bar_kernel)
 
 
 def graded_homs(h, odd: bool, floor: int, top: int) -> list[dict]:
@@ -392,14 +383,15 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     x-degrees >= need less what the other factors can carry, and a prefix
     its x-degrees >= need less what the factors still to come can carry.
     So a product carries at most top = min(D, kl n) with no U factor, and
-    D with one.  The kernel is built once, at reach D and that top (D + 1
-    and top + 1 with the bar factor)."""
+    D with one.  The kernel is built once, at that top (top + 1 under the
+    bar kernel), which bounds its box too; below kl it is empty and built
+    from nothing."""
     h = as_hook(h)
     table = z_alphabets(h)[0]
     kl = h.k * h.l
     need = kl - bar
     top = D if m else min(D, kl * n)
-    kern = _bar_kernel(table, h, D, top) if bar else _kernel(table, h, D, top)
+    kern = (_bar_kernel if bar else _kernel)(table, h, top)
     width = n + m
     # a factor's floor: need less kl per other T factor, less D with
     # another U factor

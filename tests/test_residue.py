@@ -1,3 +1,4 @@
+import inspect
 from math import factorial
 
 import hypothesis.strategies as st
@@ -9,7 +10,7 @@ from superschur.hookschur import Alphabet, hook_schur_eval, super_hom_sequence
 from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
-from superschur.poincare import p_series
+from superschur.poincare import budzik_suite, multiplicity, p_series
 from superschur.residue import (_BAR_KERNELS, _KERNELS, _bar_kernel,
                                 _integral, _kernel, constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
@@ -195,23 +196,22 @@ def _by_x_degree(f: LaurentPoly, k: int) -> list:
 
 
 def test_kernel_independent_of_growth_order():
-    # the memo grows with the reach and with the top (the largest x-degree
-    # an integrand carries), each on its own: integrands asked by reach
-    # first, by top first, largest first and each from a cleared memo must
-    # give the same values, and the memo ends at the largest of each
+    # the memo grows with the top (the largest x-degree an integrand
+    # carries): integrands asked by top ascending, by top descending and
+    # each from a cleared memo must give the same values, and the memo
+    # ends at the largest top
     h = Hook(2, 2)
     fs = [part for n in range(7) for lam in enumerate_partitions(n)
           for part in [hs_on_z(lam, h)] + _by_x_degree(hs_on_z(lam, h), h.k)]
     top = {id(f): max(sum(e[:h.k]) for e in f.terms) for f in fs}
     assert len(set(top.values())) > 3
-    orders = [sorted(fs, key=lambda f: (f.reach, top[id(f)])),
-              sorted(fs, key=lambda f: (top[id(f)], f.reach)),
-              sorted(fs, key=lambda f: (-f.reach, -top[id(f)]))]
+    orders = [sorted(fs, key=lambda f: top[id(f)]),
+              sorted(fs, key=lambda f: -top[id(f)])]
     want = {id(f): constant_term_with_delta(f, h) for f in fs}
     for order in orders:
         _KERNELS.clear()
         assert {id(f): constant_term_by_kernel(f, h) for f in order} == want
-        assert _KERNELS[h][:2] == (max(f.reach for f in fs), max(top.values()))
+        assert _KERNELS[h][0] == max(top.values())
     for f in fs:
         _KERNELS.clear()
         assert constant_term_by_kernel(f, h) == want[id(f)]
@@ -225,24 +225,47 @@ def _cut(kern: dict, table, k: int, top: int) -> dict:
     return {key: c for key, c in kern.items() if _x_degree(table, key, k) <= top}
 
 
+def _implied_box(h: Hook, top: int) -> int:
+    """The box |e_i| <= k + l - 1 + (top - kl) that the kernel's entries
+    reach: the numerator's, widened by one per geometric step."""
+    return h.k + h.l - 1 + max(top - h.k * h.l, 0)
+
+
+def _in_box(kern: dict, table, box: int) -> bool:
+    return all(max(map(abs, table.unpack(key)), default=0) <= box for key in kern)
+
+
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
 def test_cut_kernel_is_whole_box_kernel_below_its_top(h):
-    # the kernel cut at top equals the whole-box kernel on the keys of
-    # x-degree <= top, and so does the bar kernel; no key of the box
-    # |e_i| <= 8 has x-degree above 8k, so top 8k cuts nothing
+    # the kernel at top equals a reference cut to x-degree <= top: the
+    # numerator absorbed up to one past the largest top asked, on a box
+    # three wider than that top implies, so the top alone bounds the box.
+    # The bar kernel, which reads one higher, equals the reference summed
+    # over the letters of HS_(1)
     h = Hook(*h)
     table = residue_table(h)
     kl = h.k * h.l
-    _KERNELS.clear()
-    _BAR_KERNELS.clear()
-    whole = _kernel(table, h, 8, 8 * h.k)
-    whole_bar = _bar_kernel(table, h, 8, 8 * h.k)
-    for top in (kl, kl + 1, kl + 3, 2 * kl):
+    tops = (kl, kl + 1, kl + 3, 2 * kl)
+    far = max(tops) + 1
+    terms = residue._absorb(delta_numerator(table, h)._packed, table, h.k, h.l,
+                            _implied_box(h, far) + 3, far)
+    whole = {2 * table.zero_key - key: c for key, c in terms.items()}
+    whole_bar = {}
+    for z, w in hs_on_z((1,), h)._packed.items():
+        for key, c in whole.items():
+            shifted = key - z + table.zero_key
+            whole_bar[shifted] = whole_bar.get(shifted, 0) + w * c
+    whole_bar = {key: c for key, c in whole_bar.items() if c}
+    for top in tops:
         _KERNELS.clear()
         _BAR_KERNELS.clear()
-        assert _kernel(table, h, 8, top) == _cut(whole, table, h.k, top), top
+        kern = _kernel(table, h, top)
+        assert kern == _cut(whole, table, h.k, top), top
+        assert _in_box(kern, table, _implied_box(h, top)), top
         _KERNELS.clear()
-        assert _bar_kernel(table, h, 8, top) == _cut(whole_bar, table, h.k, top), top
+        bar = _bar_kernel(table, h, top)
+        assert bar == _cut(whole_bar, table, h.k, top), top
+        assert _in_box(bar, table, _implied_box(h, top + 1) + 1), top
 
 
 @pytest.mark.parametrize("h, D, size", [
@@ -257,7 +280,8 @@ def test_one_variable_series_builds_only_the_kernel_it_reads(h, D, size):
     # at reach 10, 10,770 for (3,2) at reach 12 and 14,208 for (3,3) at 8
     _KERNELS.clear()
     series = p_series("prime", h, 1, 0, D)
-    assert len(_KERNELS[h][2]) == size
+    # below kl the empty kernel is neither built nor memoised
+    assert len(_KERNELS[h][1]) == size if size else h not in _KERNELS
     assert series == p_series("prime", h, 1, 0, D, route="char")
     if h == Hook(3, 3):
         coeffs = [series.coefficient((d,)) for d in range(D + 1)]
@@ -266,12 +290,11 @@ def test_one_variable_series_builds_only_the_kernel_it_reads(h, D, size):
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
 def test_hook_schur_reach_is_at_most_size(h):
-    # the bound covers every exponent and never passes |lam|, so a series
-    # through degree D sizes its kernel at D.  It is exactly |lam| where
-    # Z0 holds a non-constant letter: on (1, 0), (0, 1) and (1, 1) every
-    # letter of Z0 is 1, so h_d(Z0;Z1) has reach at most |Z1| = 2kl.  The
-    # x-degree bound that cuts the kernel of a per-lam integral covers
-    # every term too
+    # the bound covers every exponent and never passes |lam|.  It is
+    # exactly |lam| where Z0 holds a non-constant letter: on (1, 0),
+    # (0, 1) and (1, 1) every letter of Z0 is 1, so h_d(Z0;Z1) has reach
+    # at most |Z1| = 2kl.  The x-degree bound that cuts the kernel of a
+    # per-lam integral covers every term too
     exact = h not in ((1, 0), (0, 1), (1, 1))
     for n in range(7):
         for lam in enumerate_partitions(n):
@@ -294,37 +317,119 @@ def test_bar_integral_matches_explicit_product(h):
             assert got * k_l == constant_term_with_delta(f, h), lam
 
 
-@pytest.mark.parametrize("mode, h, n, m, D, reach", [
+def _counting_absorb(monkeypatch) -> list:
+    """Wrap `residue._absorb`, recording each build's (k, l, box, top)."""
+    builds = []
+    absorb = residue._absorb
+    params = inspect.signature(absorb)
+
+    def counted(*args, **kwargs):
+        named = params.bind(*args, **kwargs).arguments
+        builds.append((named["k"], named["ell"], named["r"], named["top"]))
+        return absorb(*args, **kwargs)
+
+    monkeypatch.setattr(residue, "_absorb", counted)
+    return builds
+
+
+@pytest.mark.parametrize("mode, h, n, m, D, degree", [
     ("prime", Hook(2, 2), 1, 0, 12, 12),
     ("prime", Hook(3, 2), 1, 1, 6, 6),
     ("bar_prime", Hook(2, 1), 1, 1, 7, 8),
     ("prime", Hook(2, 2), 2, 0, 6, 6),
     ("bar_prime", Hook(2, 1), 2, 0, 7, 8),
 ])
-def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, reach):
+def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, degree):
     # a residue-route series sizes its kernel once, before its first
-    # integral, at its largest reach and top: reach D, and top D with a U
-    # factor and min(D, kl n) without; both one more with the bar factor
+    # integral, at its largest top: the integrand's degree (D, one more
+    # with the bar factor's letter) with a U factor, and at most kl per T
+    # factor (one more with the bar letter) without; the top alone fixes
+    # the box
     bar = mode == "bar_prime"
-    top = (D if m else min(D, h.k * h.l * n)) + bar
-    builds = []
-    absorb = residue._absorb
-
-    def counted(terms, table, k, ell, r, cut):
-        builds.append((r, cut))
-        return absorb(terms, table, k, ell, r, cut)
-
-    monkeypatch.setattr(residue, "_absorb", counted)
+    assert degree == D + bar
+    top = degree if m else min(degree, h.k * h.l * n + bar)
+    builds = _counting_absorb(monkeypatch)
     _KERNELS.clear()
     _BAR_KERNELS.clear()
     p_series(mode, h, n, m, D)
-    assert builds == [(reach, top)]
-    assert _KERNELS[h][:2] == (reach, top)
+    assert builds == [(h.k, h.l, _implied_box(h, top), top)]
+    assert _KERNELS[h][0] == top
+
+
+def test_budzik_builds_each_kernel_at_rising_tops(monkeypatch):
+    # the lam of one size arrive with rising tops, and the memo is keyed
+    # by the top alone, so each hook's builds (the diagonal sum adds
+    # (1, 1) and (2, 0)) come at strictly rising tops, none at a top
+    # already covered, each on the box its top implies
+    builds = _counting_absorb(monkeypatch)
+    _KERNELS.clear()
+    _BAR_KERNELS.clear()
+    assert all(r["pass"] for r in budzik_suite(7, [(2, 2), (3, 1)]))
+    # a top below kl builds nothing: (2, 2) below 4, (3, 1) below 3 and
+    # (1, 1) at 0 would add 8
+    assert len(builds) == 18
+    tops = {}
+    for k, ell, box, top in builds:
+        assert box == _implied_box(Hook(k, ell), top)
+        tops.setdefault((k, ell), []).append(top)
+    for hook, seq in tops.items():
+        assert all(a < b for a, b in zip(seq, seq[1:])), (hook, seq)
+
+
+@pytest.mark.parametrize("h", [Hook(3, 3), Hook(4, 4)])
+def test_jump_below_kl_is_zero_without_hook_schur(monkeypatch, h):
+    # a per-lam jump fetches its kernel first, cut at _hs_top (one more
+    # under the bar kernel); below kl that kernel is empty, the dot
+    # product is 0, and HS_lam(Z0;Z1) is never built
+    kl = h.k * h.l
+    cases = [(mode, lam) for mode in ("prime", "bar_prime")
+             for n in range(7) for lam in enumerate_partitions(n)
+             if residue._hs_top(lam, h) + (mode == "bar_prime") < kl]
+    assert len(cases) == 2 * sum(1 for n in range(7) for _ in enumerate_partitions(n))
+    want = [multiplicity(mode, lam, h, route="char") for mode, lam in cases]
+
+    def refused(*args):
+        raise AssertionError("hs_on_z called below kl")
+
+    monkeypatch.setattr(residue, "hs_on_z", refused)
+    _KERNELS.clear()
+    _BAR_KERNELS.clear()
+    got = [multiplicity(mode, lam, h) for mode, lam in cases]
+    assert got == want == [0] * len(cases)
+
+
+@pytest.mark.parametrize("h", [Hook(1, 1), Hook(2, 2), Hook(3, 1)])
+def test_kernel_below_kl_is_empty_whatever_the_memo(h):
+    # a memo built at a higher top holds entries a lower top cannot read,
+    # so the empty kernel below kl (kl - 1 for the bar kernel) must not
+    # come from the memo, or a per-lam jump would build HS_lam for nothing
+    # depending on what was asked before
+    table = residue_table(h)
+    kl = h.k * h.l
+    assert _kernel(table, h, 2 * kl) and _bar_kernel(table, h, 2 * kl)
+    assert _kernel(table, h, kl - 1) == {}
+    assert _bar_kernel(table, h, kl - 2) == {}
+    assert _KERNELS[h][0] >= 2 * kl and _BAR_KERNELS[h][0] >= 2 * kl
+
+
+@pytest.mark.parametrize("h, D", [(Hook(9, 9), 3), (Hook(5, 4), 12)])
+def test_series_below_kl_builds_no_numerator(monkeypatch, h, D):
+    # a one-variable series reads the kernel up to x-degree min(D, kl);
+    # below kl the kernel is empty and built without the Delta numerator,
+    # which has 595,161 terms at (5, 4) and is out of reach at (9, 9)
+    want = p_series("prime", h, 1, 0, D, route="char")
+
+    def refused(*args):
+        raise AssertionError("delta_numerator built below kl")
+
+    monkeypatch.setattr(residue, "delta_numerator", refused)
+    _KERNELS.pop(h, None)
+    assert p_series("prime", h, 1, 0, D) == want
 
 
 def test_kernel_past_limit_rejected():
     with pytest.raises(ValueError, match="past the packing limit"):
-        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1, 1)
+        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1)
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
@@ -336,9 +441,9 @@ def test_kernel_reads_only_x_degree_kl_and_up(h):
     h = Hook(*h)
     table = residue_table(h)
     kl = h.k * h.l
-    kern = _kernel(table, h, 8, 8 * h.k)
+    kern = _kernel(table, h, 2 * kl + 2)
     assert kern and min(_x_degree(table, key, h.k) for key in kern) >= kl
-    bar = _bar_kernel(table, h, 8, 8 * h.k)
+    bar = _bar_kernel(table, h, 2 * kl + 2)
     assert bar and min(_x_degree(table, key, h.k) for key in bar) >= kl - 1
 
 
