@@ -20,22 +20,25 @@ Call the sum of the x exponents of a term its x-degree.  Every entry of
 Delta has x-degree -kl - s after s geometric steps: the difference
 products have x-degree 0, the prefactor prod x_i^-l prod y_j^k has -kl,
 and each step x_i^-1 y_j lowers it by one.  So CT[f Delta] reads only the
-terms of f of x-degree >= kl, and >= kl - 1 after the bar factor
-HS_(1)(Z0;Z1), whose letters carry at most +1.  The letters of Z0 have
-x-degree 0 and those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j), so a
-series by the Cauchy pairing (`cauchy_pairing`) builds its complete
-functions only in the x-degrees that some kernel entry can read
-(`graded_homs`).  The other way round, an f whose terms have x-degree
-<= T reads only the entries with s <= T - kl, so the kernel is cut once,
-to the keys of x-degree <= T, its top, by stopping each term's geometric
-series after T - kl steps.  The cut is exact, because steps only lower
-the x-degree.  It also bounds the box: the numerator's exponents lie in
-|e_i| <= k + l - 1, and each step moves one x and one y exponent by one,
-so an entry kept lies in |e_i| <= k + l - 1 + T - kl <= T when k, l >= 1.
-A per-lam integral takes T from lam (`_hs_top`), not from f's terms.
-The kernel is memoised per hook by its top alone; a request above it
-rebuilds at the new top.  A series knows its largest top before its
-first integral and sizes the kernel once.
+terms of f of x-degree >= kl.  The bar integrals carry the extra factor
+HS_(1)(Z0;Z1), the sum of the letters of Z0 and Z1.  The letters of Z0
+have x-degree 0 and those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j),
+so with that factor f is read from x-degree kl - 1.  A series by the
+Cauchy pairing (`cauchy_pairing`) builds its complete functions only in
+the x-degrees that some kernel entry can read (`graded_homs`).
+
+The other way round, an f whose terms have x-degree <= T reads only the
+entries with x-degree >= -T, T the kernel's top.  There is one kernel
+builder (`_kernel`), keyed by (hook, bar).  With `bar` the factor
+HS_(1) goes into the Delta numerator, since the constant term is linear
+in it.  The absorption stops each term once its x-degree falls below -T.
+The cut is exact, because steps only lower the x-degree.  It also bounds
+the box the entries reach (see `_kernel`).  A per-lam integral takes T
+from lam (`_hs_top`), not from f's terms.  The kernel is memoised per
+(hook, bar) by its top alone; a request above it rebuilds at the new
+top.  A series knows its largest top before its first integral and sizes
+the kernel once.  Below kl - bar the kernel is empty, and no integral
+builds a numerator, a Z alphabet or a hook Schur function for it.
 """
 from __future__ import annotations
 
@@ -153,67 +156,47 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     return _absorb(terms, table, k, ell, slack, k * slack).get(table.zero_key, 0)
 
 
-# hook -> (T, {packed key of -e: [x^e] Delta for x-degree(-e) <= T})
+# (hook, bar) -> (T, {packed key of -e: [x^e] HS_(1)^bar Delta for
+# x-degree(-e) <= T})
 _KERNELS: dict = {}
-# hook -> (T, the same with the bar factor summed in, on x-degree <= T)
-_BAR_KERNELS: dict = {}
 
 
-def _kernel(table: VarTable, h, top: int) -> dict:
-    """Delta's expansion cut to the keys of x-degree <= top, keyed so that
-    f's key e finds [x^-e] Delta.  An integrand whose terms have x-degree
-    <= top reads nothing else.  The cut is exact: every entry of Delta has
-    x-degree -kl - s after s geometric steps, and steps only lower it, so
-    one absorption of the Delta numerator stops each term after top - kl
-    steps, on the box k + l - 1 + top - kl that those steps can reach.
-    Below kl the kernel is empty, whatever the memo holds, and no
-    numerator is built.  Memoised per hook by its top; a request above it
-    rebuilds at the new top.  ValueError past the packing limit, which
-    with k, l >= 1 bounds every exponent too."""
-    if top > VarTable.LIMIT:
+def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
+    """Delta's expansion, times the bar factor HS_(1)(Z0;Z1) when `bar`,
+    cut to the keys of x-degree <= top, keyed so that f's key e finds
+    [x^-e] HS_(1)^bar Delta.  An integrand whose terms have x-degree <= top
+    reads nothing else.  The constant term is linear in the numerator, so
+    the bar factor goes into it: one absorption of the Delta numerator
+    (times HS_(1), whose letters move the x-degree by -1, 0 or +1) stops
+    each term once its x-degree falls below -top.  The cut is exact,
+    because every geometric step lowers the x-degree by one.  A kept entry
+    took at most top - kl + bar steps from a numerator within
+    k + l - 1 + bar, and only a letter of x-degree +1 buys the extra step,
+    which moves no exponent outward, so it lies in the box
+    k + l - 1 + top - kl + bar.  Below kl - bar the kernel is empty,
+    whatever the memo holds, and no numerator is built.  Memoised per
+    (hook, bar) by its top; a request above it rebuilds at the new top.
+    ValueError past the packing limit, which with k, l >= 1 bounds every
+    exponent too."""
+    if top + bar > VarTable.LIMIT:
         raise ValueError(f"kernel top {top} is past the packing limit "
                          f"{VarTable.LIMIT}")
     kl = h.k * h.l
-    if top < kl:
+    if top < kl - bar:
         return {}
-    hit = _KERNELS.get(h)
+    hit = _KERNELS.get((h, bar))
     if hit is not None and hit[0] >= top:
         return hit[1]
-    box = h.k + h.l - 1 + top - kl
-    terms = _absorb(delta_numerator(table, h)._packed, table, h.k, h.l, box, top)
+    num = delta_numerator(table, h)
+    if bar:
+        _, z0, z1 = z_alphabets(h)
+        num = num * (z0.sum_poly() + z1.sum_poly())
+    box = h.k + h.l - 1 + top - kl + bar
+    terms = _absorb(num._packed, table, h.k, h.l, box, top)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
-    _KERNELS[h] = (top, kern)
+    _KERNELS[h, bar] = (top, kern)
     return kern
-
-
-def _bar_kernel(table: VarTable, h, top: int) -> dict:
-    """The kernel with the bar factor HS_(1)(Z0;Z1) = sum_{z in Z0 u Z1} z
-    summed in, sum_z w_z [x^-(e+z)] Delta with w_z the multiplicity of z,
-    cut to x-degree <= top, from the kernel at top + 1: a letter z carries
-    x-degree -1, 0 or +1, so e reads the kernel at e + z, at most one
-    higher.  So f HS_(1) is paired with Delta without forming the
-    product.  Empty below kl - 1, and memoised per hook by its top, like
-    the kernel."""
-    if top < h.k * h.l - 1:
-        return {}
-    hit = _BAR_KERNELS.get(h)
-    if hit is not None and hit[0] >= top:
-        return hit[1]
-    kern = _kernel(table, h, top + 1)
-    _, z0, z1 = z_alphabets(h)
-    zero_key = table.zero_key
-    letters = [(z - zero_key, w)
-               for z, w in (z0.sum_poly() + z1.sum_poly())._packed.items()]
-    summed: dict[int, int] = {}
-    get = summed.get
-    for key, c in kern.items():
-        for shift, w in letters:
-            summed[key - shift] = get(key - shift, 0) + w * c
-    summed = {key: c for key, c in summed.items()
-              if c and _x_degree(table, key, h.k) <= top}
-    _BAR_KERNELS[h] = (top, summed)
-    return summed
 
 
 def _dot(a: dict, b: dict) -> int:
@@ -293,12 +276,13 @@ def _hs_top(lam: Partition, h: Hook) -> int:
     return sum(min(part, kl) for part in lam)
 
 
-def _jump(lam: Partition, h, kernel) -> int:
-    """(k! l!)^-1 sum_e HS_lam(Z0;Z1)_e kernel[e], with the kernel cut at
-    `_hs_top` and fetched first: an empty one makes the value 0, so HS_lam
-    is built only when some entry can read it."""
+def _jump(lam: Partition, h, bar: bool) -> int:
+    """(k! l!)^-1 sum_e HS_lam(Z0;Z1)_e kernel[e], with the kernel (times
+    the bar factor when `bar`) cut at `_hs_top` and fetched first: an
+    empty one makes the value 0, so neither HS_lam nor the Z alphabets
+    are built unless some entry can read them."""
     h = as_hook(h)
-    kern = kernel(z_alphabets(h)[0], h, _hs_top(lam, h))
+    kern = _kernel(residue_table(h), h, _hs_top(lam, h), bar)
     return _over_k_l(_dot(hs_on_z(lam, h)._packed, kern), h) if kern else 0
 
 
@@ -306,15 +290,16 @@ def m_prime_residue(lam: Partition, h) -> int:
     """<HS_lam(Z0;Z1), 1> -- the integral form of the multiplicity jump:
     one dot product of HS_lam against the kernel, cut at `_hs_top`, and 0
     without HS_lam when that top is below kl."""
-    return _jump(lam, h, _kernel)
+    return _jump(lam, h, False)
 
 
 def m_bar_prime_residue(lam: Partition, h) -> int:
     """Same integral with the extra factor sum_{z in Z0 u Z1} z, which is
-    HS_(1)(Z0;Z1): one dot product of HS_lam against the bar kernel, cut
-    at `_hs_top`, so the product is never formed, and 0 without HS_lam
-    when that top is below kl - 1."""
-    return _jump(lam, h, _bar_kernel)
+    HS_(1)(Z0;Z1): one dot product of HS_lam against the kernel whose
+    numerator carries that factor, cut at `_hs_top`, so the product with
+    HS_lam is never formed, and 0 without HS_lam when that top is below
+    kl - 1."""
+    return _jump(lam, h, True)
 
 
 def graded_homs(h, odd: bool, floor: int, top: int) -> list[dict]:
@@ -383,15 +368,18 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     x-degrees >= need less what the other factors can carry, and a prefix
     its x-degrees >= need less what the factors still to come can carry.
     So a product carries at most top = min(D, kl n) with no U factor, and
-    D with one.  The kernel is built once, at that top (top + 1 under the
-    bar kernel), which bounds its box too; below kl it is empty and built
-    from nothing."""
+    D with one.  The kernel, with the bar factor in its numerator when
+    `bar`, is fetched first and once, at that top, which bounds its box
+    too.  Below need it is empty, and the walk ends before any Z alphabet
+    or complete function is built."""
     h = as_hook(h)
-    table = z_alphabets(h)[0]
+    table = residue_table(h)
     kl = h.k * h.l
     need = kl - bar
     top = D if m else min(D, kl * n)
-    kern = (_bar_kernel if bar else _kernel)(table, h, top)
+    kern = _kernel(table, h, top, bar)
+    if not kern:
+        return
     width = n + m
     # a factor's floor: need less kl per other T factor, less D with
     # another U factor

@@ -11,8 +11,8 @@ from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.poincare import budzik_suite, multiplicity, p_series
-from superschur.residue import (_BAR_KERNELS, _KERNELS, _bar_kernel,
-                                _integral, _kernel, constant_term_by_kernel,
+from superschur.residue import (_KERNELS, _integral, _kernel,
+                                constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
                                 graded_homs, hs_on_z, inner_product,
                                 m_bar_prime_residue, m_prime_residue,
@@ -182,7 +182,7 @@ def test_kernel_matches_oracle_on_hook_schur_values(h):
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
 def test_bar_factor_is_hook_schur_of_one_box(h):
-    # the bar kernel sums the kernel over the letters of Z0 u Z1 as HS_(1)
+    # the bar kernel's numerator carries the letters of Z0 u Z1 as HS_(1)
     _, z0, z1 = z_alphabets(h)
     assert hs_on_z((1,), h) == z0.sum_poly() + z1.sum_poly()
 
@@ -195,26 +195,44 @@ def _by_x_degree(f: LaurentPoly, k: int) -> list:
     return [LaurentPoly(f.table, part) for part in parts.values()]
 
 
-def test_kernel_independent_of_growth_order():
+def _by_kernel(f: LaurentPoly, h: Hook, bar: bool) -> int:
+    """CT[f HS_(1)^bar Delta] by one dot product against the kernel at the
+    largest x-degree among f's terms."""
+    kern = _kernel(f.table, h, residue._x_top(f, h.k), bar)
+    return residue._dot(f._packed, kern)
+
+
+@pytest.mark.parametrize("bar", [False, True])
+def test_kernel_independent_of_growth_order(bar):
     # the memo grows with the top (the largest x-degree an integrand
-    # carries): integrands asked by top ascending, by top descending and
-    # each from a cleared memo must give the same values, and the memo
-    # ends at the largest top
+    # carries), one entry per (hook, bar): integrands asked by top
+    # ascending, by top descending, each from a cleared memo, and
+    # interleaved with the other key one top higher must give the same
+    # values and kernels, and each key ends at its own largest top
     h = Hook(2, 2)
     fs = [part for n in range(7) for lam in enumerate_partitions(n)
           for part in [hs_on_z(lam, h)] + _by_x_degree(hs_on_z(lam, h), h.k)]
     top = {id(f): max(sum(e[:h.k]) for e in f.terms) for f in fs}
     assert len(set(top.values())) > 3
-    orders = [sorted(fs, key=lambda f: top[id(f)]),
-              sorted(fs, key=lambda f: -top[id(f)])]
-    want = {id(f): constant_term_with_delta(f, h) for f in fs}
-    for order in orders:
+    largest = max(top.values())
+    one = hs_on_z((1,), h) if bar else LaurentPoly.const(residue_table(h), 1)
+    want = {id(f): constant_term_with_delta(f * one, h) for f in fs}
+    _KERNELS.clear()
+    whole = _kernel(residue_table(h), h, largest, bar)
+    ascending = sorted(fs, key=lambda f: top[id(f)])
+    for order in (ascending, ascending[::-1]):
         _KERNELS.clear()
-        assert {id(f): constant_term_by_kernel(f, h) for f in order} == want
-        assert _KERNELS[h][0] == max(top.values())
+        assert {id(f): _by_kernel(f, h, bar) for f in order} == want
+        assert _KERNELS[h, bar] == (largest, whole)
+    _KERNELS.clear()
+    for f in ascending:
+        assert _by_kernel(f, h, bar) == want[id(f)]
+        _kernel(f.table, h, top[id(f)] + 1, not bar)
+    assert _KERNELS[h, bar] == (largest, whole)
+    assert _KERNELS[h, not bar][0] == largest + 1
     for f in fs:
         _KERNELS.clear()
-        assert constant_term_by_kernel(f, h) == want[id(f)]
+        assert _by_kernel(f, h, bar) == want[id(f)]
 
 
 def _x_degree(table, key, k):
@@ -225,10 +243,43 @@ def _cut(kern: dict, table, k: int, top: int) -> dict:
     return {key: c for key, c in kern.items() if _x_degree(table, key, k) <= top}
 
 
-def _implied_box(h: Hook, top: int) -> int:
-    """The box |e_i| <= k + l - 1 + (top - kl) that the kernel's entries
-    reach: the numerator's, widened by one per geometric step."""
-    return h.k + h.l - 1 + max(top - h.k * h.l, 0)
+def _implied_box(h: Hook, top: int, bar: bool = False) -> int:
+    """The box |e_i| <= k + l - 1 + (top - kl + bar) that the kernel's
+    entries reach: the numerator's, widened by one per geometric step.
+    The bar factor's letters of x-degree 0 or -1 widen the numerator by
+    one, and those of x-degree +1 buy one more step but widen nothing."""
+    return h.k + h.l - 1 + max(top - h.k * h.l + bar, 0)
+
+
+def _summed_bar_kernel(table, h: Hook, top: int) -> dict:
+    """The bar kernel the slow way, sum_z w_z [x^-(e+z)] Delta over the
+    letters z of HS_(1)(Z0;Z1) with multiplicity w_z, cut to x-degree <=
+    top, from the plain kernel at top + 1: a letter carries x-degree -1, 0
+    or +1, so e reads the kernel at e + z, at most one higher."""
+    kern = _kernel(table, h, top + 1)
+    _, z0, z1 = z_alphabets(h)
+    zero_key = table.zero_key
+    letters = [(z - zero_key, w)
+               for z, w in (z0.sum_poly() + z1.sum_poly())._packed.items()]
+    summed: dict[int, int] = {}
+    for key, c in kern.items():
+        for shift, w in letters:
+            summed[key - shift] = summed.get(key - shift, 0) + w * c
+    return {key: c for key, c in summed.items()
+            if c and _x_degree(table, key, h.k) <= top}
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_bar_kernel_equals_summed_bar_kernel(h):
+    # the bar factor absorbed with the numerator equals the plain kernel
+    # summed over the letters of HS_(1), at every top from the first one
+    # the bar kernel can read to well past it, from a cleared memo
+    h = Hook(*h)
+    table = residue_table(h)
+    kl = h.k * h.l
+    for top in range(kl - 1, 2 * kl + 3):
+        _KERNELS.clear()
+        assert _kernel(table, h, top, True) == _summed_bar_kernel(table, h, top), top
 
 
 def _in_box(kern: dict, table, box: int) -> bool:
@@ -240,8 +291,8 @@ def test_cut_kernel_is_whole_box_kernel_below_its_top(h):
     # the kernel at top equals a reference cut to x-degree <= top: the
     # numerator absorbed up to one past the largest top asked, on a box
     # three wider than that top implies, so the top alone bounds the box.
-    # The bar kernel, which reads one higher, equals the reference summed
-    # over the letters of HS_(1)
+    # The bar kernel, whose numerator carries HS_(1), equals the reference
+    # summed over the letters of HS_(1), on the box its own top implies
     h = Hook(*h)
     table = residue_table(h)
     kl = h.k * h.l
@@ -258,14 +309,13 @@ def test_cut_kernel_is_whole_box_kernel_below_its_top(h):
     whole_bar = {key: c for key, c in whole_bar.items() if c}
     for top in tops:
         _KERNELS.clear()
-        _BAR_KERNELS.clear()
         kern = _kernel(table, h, top)
         assert kern == _cut(whole, table, h.k, top), top
         assert _in_box(kern, table, _implied_box(h, top)), top
         _KERNELS.clear()
-        bar = _bar_kernel(table, h, top)
+        bar = _kernel(table, h, top, True)
         assert bar == _cut(whole_bar, table, h.k, top), top
-        assert _in_box(bar, table, _implied_box(h, top + 1) + 1), top
+        assert _in_box(bar, table, _implied_box(h, top, True)), top
 
 
 @pytest.mark.parametrize("h, D, size", [
@@ -281,7 +331,7 @@ def test_one_variable_series_builds_only_the_kernel_it_reads(h, D, size):
     _KERNELS.clear()
     series = p_series("prime", h, 1, 0, D)
     # below kl the empty kernel is neither built nor memoised
-    assert len(_KERNELS[h][1]) == size if size else h not in _KERNELS
+    assert len(_KERNELS[h, False][1]) == size if size else (h, False) not in _KERNELS
     assert series == p_series("prime", h, 1, 0, D, route="char")
     if h == Hook(3, 3):
         coeffs = [series.coefficient((d,)) for d in range(D + 1)]
@@ -341,19 +391,20 @@ def _counting_absorb(monkeypatch) -> list:
 ])
 def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, degree):
     # a residue-route series sizes its kernel once, before its first
-    # integral, at its largest top: the integrand's degree (D, one more
-    # with the bar factor's letter) with a U factor, and at most kl per T
-    # factor (one more with the bar letter) without; the top alone fixes
-    # the box
+    # integral, at its largest top: D with a U factor, and at most kl per
+    # T factor without.  The integrand's degree is one more with the bar
+    # factor's letter, but that letter sits in the kernel's numerator, so
+    # a bar series builds one kernel, at its own top and the bar box, and
+    # no plain kernel one higher; the top alone fixes the box
     bar = mode == "bar_prime"
     assert degree == D + bar
-    top = degree if m else min(degree, h.k * h.l * n + bar)
+    top = D if m else min(D, h.k * h.l * n)
     builds = _counting_absorb(monkeypatch)
     _KERNELS.clear()
-    _BAR_KERNELS.clear()
     p_series(mode, h, n, m, D)
-    assert builds == [(h.k, h.l, _implied_box(h, top), top)]
-    assert _KERNELS[h][0] == top
+    assert builds == [(h.k, h.l, _implied_box(h, top, bar), top)]
+    assert list(_KERNELS) == [(h, bar)]
+    assert _KERNELS[h, bar][0] == top
 
 
 def test_budzik_builds_each_kernel_at_rising_tops(monkeypatch):
@@ -363,7 +414,6 @@ def test_budzik_builds_each_kernel_at_rising_tops(monkeypatch):
     # already covered, each on the box its top implies
     builds = _counting_absorb(monkeypatch)
     _KERNELS.clear()
-    _BAR_KERNELS.clear()
     assert all(r["pass"] for r in budzik_suite(7, [(2, 2), (3, 1)]))
     # a top below kl builds nothing: (2, 2) below 4, (3, 1) below 3 and
     # (1, 1) at 0 would add 8
@@ -393,7 +443,6 @@ def test_jump_below_kl_is_zero_without_hook_schur(monkeypatch, h):
 
     monkeypatch.setattr(residue, "hs_on_z", refused)
     _KERNELS.clear()
-    _BAR_KERNELS.clear()
     got = [multiplicity(mode, lam, h) for mode, lam in cases]
     assert got == want == [0] * len(cases)
 
@@ -406,10 +455,10 @@ def test_kernel_below_kl_is_empty_whatever_the_memo(h):
     # depending on what was asked before
     table = residue_table(h)
     kl = h.k * h.l
-    assert _kernel(table, h, 2 * kl) and _bar_kernel(table, h, 2 * kl)
+    assert _kernel(table, h, 2 * kl) and _kernel(table, h, 2 * kl, True)
     assert _kernel(table, h, kl - 1) == {}
-    assert _bar_kernel(table, h, kl - 2) == {}
-    assert _KERNELS[h][0] >= 2 * kl and _BAR_KERNELS[h][0] >= 2 * kl
+    assert _kernel(table, h, kl - 2, True) == {}
+    assert _KERNELS[h, False][0] >= 2 * kl and _KERNELS[h, True][0] >= 2 * kl
 
 
 @pytest.mark.parametrize("h, D", [(Hook(9, 9), 3), (Hook(5, 4), 12)])
@@ -423,13 +472,34 @@ def test_series_below_kl_builds_no_numerator(monkeypatch, h, D):
         raise AssertionError("delta_numerator built below kl")
 
     monkeypatch.setattr(residue, "delta_numerator", refused)
-    _KERNELS.pop(h, None)
+    _KERNELS.pop((h, False), None)
     assert p_series("prime", h, 1, 0, D) == want
 
 
+def test_empty_kernel_builds_no_z_alphabet(monkeypatch):
+    # below kl - bar the kernel is empty, so an integral ends before it
+    # builds the Z alphabets (about 4k^2 letters on a (k, k) hook) or any
+    # complete function, and gives what the char route gives
+    want = [p_series("prime", (60, 60), 1, 0, 5, route="char"),
+            p_series("bar_prime", (40, 40), 1, 1, 4, route="char")]
+
+    def refused(*args):
+        raise AssertionError("Z alphabets built for an empty kernel")
+
+    monkeypatch.setattr(residue, "z_alphabets", refused)
+    monkeypatch.setattr(residue, "graded_homs", refused)
+    assert [p_series("prime", (60, 60), 1, 0, 5),
+            p_series("bar_prime", (40, 40), 1, 1, 4)] == want
+    assert m_prime_residue((3, 3), (100, 100)) == 0
+    assert m_bar_prime_residue((3, 3), (100, 100)) == 0
+
+
 def test_kernel_past_limit_rejected():
+    # the bar factor's letters reach one past the top
     with pytest.raises(ValueError, match="past the packing limit"):
         _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1)
+    with pytest.raises(ValueError, match="past the packing limit"):
+        _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT, True)
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
@@ -443,7 +513,7 @@ def test_kernel_reads_only_x_degree_kl_and_up(h):
     kl = h.k * h.l
     kern = _kernel(table, h, 2 * kl + 2)
     assert kern and min(_x_degree(table, key, h.k) for key in kern) >= kl
-    bar = _bar_kernel(table, h, 2 * kl + 2)
+    bar = _kernel(table, h, 2 * kl + 2, True)
     assert bar and min(_x_degree(table, key, h.k) for key in bar) >= kl - 1
 
 
