@@ -2,18 +2,22 @@
 
 Evaluation on large monomial alphabets (`hook_schur_eval`) expands the
 generating product of the super complete functions and takes one
-Jacobi-Trudi determinant in them.  Three routes check it and share none
-of its code: the definitional one, which enumerates the
-(k, l)-semistandard tableaux of Berele and Regev; the Jozefiak-Pragacz
-symmetrized rational sum; and the factorization formula for typical
-shapes, whose Schur factors are tableau sums too.
+Jacobi-Trudi determinant in them.  One column recurrence builds those
+complete functions (`graded_homs`): ungraded and memoised for the
+determinant (`super_hom_sequence`), and split by x-degree and cut at a
+floor for the Cauchy pairing of `residue`.  Three routes check the
+evaluation and share none of its code: the definitional one, which
+enumerates the (k, l)-semistandard tableaux of Berele and Regev; the
+Jozefiak-Pragacz symmetrized rational sum; and the factorization formula
+for typical shapes, whose Schur factors are tableau sums too.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import count, islice, permutations
+from math import inf
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
 from .partitions import Hook, Partition, as_hook, conjugate, part, typical_split
@@ -90,39 +94,73 @@ _HOM_CACHE: dict = {}
 _HS_CACHE: dict = {}
 
 
+def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
+                top: float) -> Iterator[dict]:
+    """Yield h_0, ..., h_top of X;Y, the coefficients of prod (1 - x z)^-1
+    prod (1 + y z), as {x-degree: LaurentPoly} over the x-degrees >= floor,
+    to be read, not changed.  The x-degree of a term is the sum of its first
+    k exponents: k = 0 grades nothing, floor 0 cuts nothing; top may be inf.
+
+    The column recurrence: col[i] is h_R of the first i letters, and
+    degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for an x letter
+    and col[i] + y * prev[i] for a y letter, one pass per bucket.  Any
+    letter order gives the same h_R; the cheap one takes Y's letters
+    first, then X's constants, then the rest of X.  A y letter enters at
+    most once and a constant moves no exponent, so every column entry over
+    those letters is a sum of the terms of e_j(Y), j <= |Y|, and only X's
+    other letters work on the full-size polynomials.  Graded, Y goes
+    plus-first and X minus-first.
+
+    A term of column i can still gain the letters from i on, and the X
+    letter before i, which repeats.  With no letter above x-degree 1 they
+    add at most top - R (ValueError otherwise), and while no X letter of
+    x-degree +1 is left, one per Y letter of x-degree +1 left.  A bucket
+    they cannot lift to floor is dropped: every term it would feed stays
+    below floor, so the buckets kept are exact."""
+    table, zero = X.table, (0,) * len(X.table)
+    letters = (sorted(Y.monos, key=lambda z: -sum(z[1][:k]))
+               + sorted(X.monos, key=lambda z: (sum(z[1][:k]), z[1] != zero)))
+    ny, size = len(Y), len(letters)
+    grades = [sum(e[:k]) for _, e in letters]
+    if max(grades, default=0) > 1:
+        raise ValueError("a letter of x-degree above 1 would void the cut")
+    # lows[i]: the least x-degree a bucket of column i needs at any degree
+    lows = [-inf if any(s > 0 for s in grades[max(i - 1, ny):])
+            else floor - sum(s > 0 for s in grades[i:ny]) for i in range(size + 1)]
+    # per letter: itself, its x-degree, source column, next low, rising?
+    steps = [(LaurentPoly.monomial(table, *z), s, i + (i >= ny), lows[i + 1],
+              lows[i] < lows[i + 1]) for i, (z, s) in enumerate(zip(letters, grades))]
+    col = [{0: LaurentPoly.const(table, 1)} if low <= 0 else {} for low in lows]
+    for R in count(1):
+        hd = col[size]  # cut at floor already unless its low is below
+        yield hd if lows[size] >= floor else {
+            g: p for g, p in hd.items() if g >= floor}
+        if R > top:
+            return
+        prev, col = col, [{}]
+        for z, s, source, low, rises in steps:
+            new = ({g: p for g, p in col[-1].items() if g >= low} if rises
+                   else col[-1].copy())
+            cut = max(low, floor - (top - R))
+            for g, p in prev[source].items():
+                g += s
+                if g >= cut:
+                    new[g] = new[g]._add_monomial_times(z, p) if g in new else z * p
+                    if not new[g]._packed:
+                        del new[g]
+            col.append(new)
+
+
 def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]:
-    """Complete functions h_0..h_upto of the super alphabet X;Y, the
-    coefficients of prod (1 - x z)^-1 prod (1 + y z).
-
-    One memo entry per alphabet pair holds h_0..h_R, the last column col,
-    where col[i] is h_R of the first i letters, and the letters as
-    monomials.  Degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for
-    an x letter and col[i] + y * prev[i] for a y letter, each in one pass,
-    so a larger `upto` extends the entry and a smaller one slices it.
-
-    The product commutes, so any letter order gives the same h_R; the
-    cheap one takes Y's letters first, then X's constants, then the rest
-    of X.  A y letter enters at most once and a constant moves no
-    exponent, so every column entry over those letters is a sum of the
-    terms of e_j(Y), j <= |Y|, and only X's other letters work on the
-    full-size polynomials.
-    """
-    entry = _HOM_CACHE.get((X, Y))
-    if entry is None:
-        one = LaurentPoly.const(X.table, 1)
-        zero = (0,) * len(X.table)
-        monos = (Y.monos + tuple(m for m in X.monos if m[1] == zero)
-                 + tuple(m for m in X.monos if m[1] != zero))
-        letters = [LaurentPoly.monomial(X.table, c, e) for c, e in monos]
-        entry = _HOM_CACHE[(X, Y)] = [[one], [one] * (len(letters) + 1), letters]
-    hs, col, letters = entry
-    ny = len(Y)
-    while len(hs) <= upto:
-        prev, col = col, [LaurentPoly.zero(X.table)]
-        for i, z in enumerate(letters):
-            col.append(col[i]._add_monomial_times(z, prev[i] if i < ny else prev[i + 1]))
-        hs.append(col[-1])
-    entry[1] = col
+    """h_0..h_upto of the super alphabet X;Y, ungraded.  One memo entry per
+    alphabet pair holds the h_d drawn so far and a `graded_homs` builder
+    over k = 0 with no degree bound; a larger `upto` draws more from it,
+    a smaller one slices the list.  The entry leaves the memo while it
+    draws, so a builder that raised is dropped, not served spent."""
+    hs, builder = _HOM_CACHE.pop((X, Y), None) or ([], graded_homs(X, Y, 0, 0, inf))
+    zero = LaurentPoly.zero(X.table)
+    hs.extend(hd.get(0, zero) for hd in islice(builder, max(upto + 1 - len(hs), 0)))
+    _HOM_CACHE[X, Y] = hs, builder
     return hs[:upto + 1]
 
 

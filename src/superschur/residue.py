@@ -24,8 +24,8 @@ terms of f of x-degree >= kl.  The bar integrals carry the extra factor
 HS_(1)(Z0;Z1), the sum of the letters of Z0 and Z1.  The letters of Z0
 have x-degree 0 and those of Z1 have +1 (x_i y_j^-1) or -1 (x_i^-1 y_j),
 so with that factor f is read from x-degree kl - 1.  A series by the
-Cauchy pairing (`cauchy_pairing`) builds its complete functions only in
-the x-degrees that some kernel entry can read (`graded_homs`).
+Cauchy pairing (`cauchy_pairing`) draws its complete functions from
+`hookschur.graded_homs` cut to the x-degrees some kernel entry can read.
 
 The other way round, an f whose terms have x-degree <= T reads only the
 entries with x-degree >= -T, T the kernel's top.  There is one kernel
@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .hookschur import Alphabet, hook_schur_eval
+from .hookschur import Alphabet, graded_homs, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
 from .partitions import Hook, Partition, as_hook
 
@@ -166,18 +166,18 @@ def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
     cut to the keys of x-degree <= top, keyed so that f's key e finds
     [x^-e] HS_(1)^bar Delta.  An integrand whose terms have x-degree <= top
     reads nothing else.  The constant term is linear in the numerator, so
-    the bar factor goes into it: one absorption of the Delta numerator
-    (times HS_(1), whose letters move the x-degree by -1, 0 or +1) stops
-    each term once its x-degree falls below -top.  The cut is exact,
-    because every geometric step lowers the x-degree by one.  A kept entry
-    took at most top - kl + bar steps from a numerator within
-    k + l - 1 + bar, and only a letter of x-degree +1 buys the extra step,
-    which moves no exponent outward, so it lies in the box
-    k + l - 1 + top - kl + bar.  Below kl - bar the kernel is empty,
-    whatever the memo holds, and no numerator is built.  Memoised per
-    (hook, bar) by its top; a request above it rebuilds at the new top.
-    ValueError past the packing limit, which with k, l >= 1 bounds every
-    exponent too."""
+    the bar factor goes into it, and only its letters of x-degree
+    >= kl - top: the numerator has x-degree -kl, and the other letters put
+    every term below -top.  One absorption stops each term once its
+    x-degree falls below -top.  The cut is exact, because every geometric
+    step lowers the x-degree by one.  A kept entry took at most
+    top - kl + bar steps from a numerator within k + l - 1 + bar, and only
+    a letter of x-degree +1 buys the extra step, which moves no exponent
+    outward, so it lies in the box k + l - 1 + top - kl + bar.  Below
+    kl - bar the kernel is empty, whatever the memo holds, and no
+    numerator is built.  Memoised per (hook, bar) by its top; a request
+    above it rebuilds at the new top.  ValueError past the packing limit,
+    which with k, l >= 1 bounds every exponent too."""
     if top + bar > VarTable.LIMIT:
         raise ValueError(f"kernel top {top} is past the packing limit "
                          f"{VarTable.LIMIT}")
@@ -190,7 +190,8 @@ def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
     num = delta_numerator(table, h)
     if bar:
         _, z0, z1 = z_alphabets(h)
-        num = num * (z0.sum_poly() + z1.sum_poly())
+        num = num * Alphabet(table, [z for z in z0.monos + z1.monos
+                                     if sum(z[1][:h.k]) >= kl - top]).sum_poly()
     box = h.k + h.l - 1 + top - kl + bar
     terms = _absorb(num._packed, table, h.k, h.l, box, top)
     twice_zero = 2 * table.zero_key
@@ -221,18 +222,12 @@ def _over_k_l(total: int, h: Hook) -> int:
                           "constant term over k! l! (expansion bug)")
 
 
-def _integral(f: LaurentPoly, h) -> int:
-    """(k! l!)^-1 x constant term of f * Delta by the kernel, which must be
-    exact."""
-    h = as_hook(h)
-    return _over_k_l(constant_term_by_kernel(f, h), h)
-
-
 def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
-    """<f, g> = (k! l!)^-1 x constant term of f(X;Y) g(X^-1;Y^-1) Delta."""
+    """<f, g> = (k! l!)^-1 CT[f(X;Y) g(X^-1;Y^-1) Delta], by the kernel."""
     if f.table != g.table:
         raise ValueError("variable table mismatch")
-    return _integral(f * g.invert_variables(), h)
+    h = as_hook(h)
+    return _over_k_l(constant_term_by_kernel(f * g.invert_variables(), h), h)
 
 
 def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
@@ -302,54 +297,6 @@ def m_bar_prime_residue(lam: Partition, h) -> int:
     return _jump(lam, h, True)
 
 
-def graded_homs(h, odd: bool, floor: int, top: int) -> list[dict]:
-    """h_0..h_top of Z0;Z1, or of Z1;Z0 when `odd`, each as {x-degree:
-    LaurentPoly} over the x-degrees >= floor.
-
-    The column recurrence of `super_hom_sequence` on grade buckets: a
-    letter of x-degree s adds bucket g of its source into bucket g + s,
-    one `_add_monomial_times` per bucket.  A term of column i can still
-    gain only the letters from i on, and the X letter before i, which can
-    repeat.  With Y's letters plus-first and X's minus-first, a bucket is
-    dropped as soon as those letters cannot lift it to `floor` within
-    degree `top`: they add at most top - R while an X letter of x-degree
-    +1 is left, and otherwise at most one per Y letter of x-degree +1
-    left.  Every term a dropped one would feed stays below floor, so the
-    buckets kept are exact."""
-    h = as_hook(h)
-    table, z0, z1 = z_alphabets(h)
-    X, Y = (z1, z0) if odd else (z0, z1)
-    k, zero = h.k, (0,) * len(table)
-    letters = (sorted(Y.monos, key=lambda z: -sum(z[1][:k]))
-               + sorted(X.monos, key=lambda z: (sum(z[1][:k]), z[1] != zero)))
-    ny, size = len(Y), len(letters)
-    grades = [sum(e[:k]) for _, e in letters]
-    # lift[i]: the x-degree the letters left to column i can add, one per
-    # Y letter of x-degree +1; None while an X letter of x-degree +1 is
-    # left, which can add one per degree
-    lift = [None if any(s > 0 for s in grades[max(i - 1, ny):])
-            else sum(s > 0 for s in grades[i:ny]) for i in range(size + 1)]
-
-    def keep(col: dict, i: int, R: int) -> dict:
-        gain = top - R if lift[i] is None else min(top - R, lift[i])
-        return {g: p for g, p in col.items() if g + gain >= floor and p._packed}
-
-    polys = [LaurentPoly.monomial(table, c, e) for c, e in letters]
-    none = LaurentPoly.zero(table)
-    col = [keep({0: LaurentPoly.const(table, 1)}, i, 0) for i in range(size + 1)]
-    hs = [col[size]]
-    for R in range(1, top + 1):
-        prev, col = col, [{}]
-        for i, z in enumerate(polys):
-            new = dict(col[i])
-            s = grades[i]
-            for g, p in (prev[i] if i < ny else prev[i + 1]).items():
-                new[g + s] = new.get(g + s, none)._add_monomial_times(z, p)
-            col.append(keep(new, i + 1, R))
-        hs.append(col[size])
-    return [{g: p for g, p in hd.items() if g >= floor} for hd in hs]
-
-
 def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     """Yield (alpha + beta, <prod_i h_alpha_i(Z0;Z1) prod_j h_beta_j(Z1;Z0),
     1>) for the nonzero values, with the bar factor HS_(1)(Z0;Z1) inside
@@ -381,12 +328,12 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     if not kern:
         return
     width = n + m
-    # a factor's floor: need less kl per other T factor, less D with
-    # another U factor
-    cols = [graded_homs(h, False, need - kl * (n - 1) - (D if m else 0), D)
-            if n else None,
-            graded_homs(h, True, need - kl * n - (D if m > 1 else 0), D)
-            if m else None]
+    # floors: need less kl per other T factor, less D with another U factor
+    t_floor = need - kl * (n - 1) - (D if m else 0)
+    u_floor = need - kl * n - (D if m > 1 else 0)
+    _, z0, z1 = z_alphabets(h)
+    cols = [list(graded_homs(z0, z1, h.k, t_floor, D)) if n else None,
+            list(graded_homs(z1, z0, h.k, u_floor, D)) if m else None]
     zero_key = table.zero_key
     get = kern.get
 

@@ -29,3 +29,33 @@ def laurent_polys(draw, table=TABLE2, max_terms=5, max_exp=3, max_coeff=5):
         if coeff:
             terms[exps] = terms.get(exps, 0) + coeff
     return LaurentPoly(table, terms)
+
+
+def hom_sequence_x_then_y(X, Y, upto):
+    """h_0..h_upto of X;Y by the column recurrence over X's letters, then
+    Y's, with no memo and no grading (oracle for the letter order and the
+    x-degree cut of hookschur.graded_homs)."""
+    table = X.table
+    letters = [LaurentPoly.monomial(table, c, e) for c, e in X.monos + Y.monos]
+    col = [LaurentPoly.const(table, 1)] * (len(letters) + 1)
+    hs = [col[-1]]
+    for _ in range(upto):
+        prev, col = col, [LaurentPoly.zero(table)]
+        for i, z in enumerate(letters):
+            col.append(col[i] + z * (prev[i + 1] if i < len(X) else prev[i]))
+        hs.append(col[-1])
+    return hs
+
+
+def graded_hom_sequence(X, Y, k, floor, upto):
+    """hom_sequence_x_then_y split by x-degree, the sum of the first k
+    exponents: each h_d as {x-degree: LaurentPoly} over the x-degrees
+    >= floor."""
+    out = []
+    for hd in hom_sequence_x_then_y(X, Y, upto):
+        buckets = {}
+        for e, c in hd.terms.items():
+            if sum(e[:k]) >= floor:
+                buckets.setdefault(sum(e[:k]), {})[e] = c
+        out.append({g: LaurentPoly(X.table, b) for g, b in buckets.items()})
+    return out

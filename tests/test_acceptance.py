@@ -306,3 +306,20 @@ def test_12_classical_closed_forms_in_several_variables():
             ok = ok and dict(series.terms) == closed
     _verdict("classical invariant series of generic matrices == closed forms "
              "in several variables, both routes", ok)
+
+
+@pytest.mark.parametrize("form", sorted(CLASSICAL_FORMS))
+def test_classical_forms_satisfy_the_functional_equation(form):
+    # P(1/t) = (-1)^d (t1...tn)^(k^2) P(t), d = (n - 1) k^2 + 1, for
+    # P = N / prod_a (1 - t^a) with r factors.  Each 1 - t^-a is
+    # -t^-a (1 - t^a), so the equation says that the terms c t^(sum a - e)
+    # of t^(sum a) N(1/t) are the terms (-1)^(d - r) c t^(e + k^2) of N(t)
+    (k, _), n = form
+    numerator, denominator = CLASSICAL_FORMS[form]
+    d, r = (n - 1) * k * k + 1, len(denominator)
+    total = [sum(a[i] for a in denominator) for i in range(n)]
+    reflected = sorted((c, tuple(s - x for s, x in zip(total, e)))
+                       for c, e in numerator)
+    shifted = sorted(((-1) ** (d - r) * c, tuple(x + k * k for x in e))
+                     for c, e in numerator)
+    assert reflected == shifted

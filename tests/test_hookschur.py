@@ -1,17 +1,21 @@
 import random
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations)
 
 import pytest
 
 from superschur import hookschur
-from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, hook_schur_def,
-                                  hook_schur_eval, hook_schur_factorized,
-                                  hook_schur_jp, schur_by_tableaux,
-                                  skew_schur_by_tableaux, super_hom_sequence)
+from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, graded_homs,
+                                  hook_schur_def, hook_schur_eval,
+                                  hook_schur_factorized, hook_schur_jp,
+                                  schur_by_tableaux, skew_schur_by_tableaux,
+                                  super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
 from superschur.residue import z_alphabets
+
+from conftest import graded_hom_sequence, hom_sequence_x_then_y
 
 T21 = VarTable(["x1", "x2", "y1"])
 X21 = Alphabet.symbols(T21, ["x1", "x2"])
@@ -123,7 +127,8 @@ def test_check_formulas_take_no_determinant(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a check formula called the fast route")
 
-    for name in ("_jacobi_trudi", "super_hom_sequence", "hook_schur_eval"):
+    for name in ("_jacobi_trudi", "super_hom_sequence", "graded_homs",
+                 "hook_schur_eval"):
         monkeypatch.setattr(hookschur, name, refuse)
     for lam in shapes:
         assert hook_schur_def(lam, X21, Y21) == want[lam]
@@ -215,23 +220,54 @@ def test_super_hom_sequence_on_signed_alphabets():
         hs = super_hom_sequence(X, Y, upto)
         assert len(hs) == upto + 1
         assert hs == expected[:upto + 1]
-    assert expected == _hom_sequence_x_then_y(X, Y, 6)
-    assert super_hom_sequence(Y, X, 6) == _hom_sequence_x_then_y(Y, X, 6)
+    assert expected == hom_sequence_x_then_y(X, Y, 6)
+    assert super_hom_sequence(Y, X, 6) == hom_sequence_x_then_y(Y, X, 6)
 
 
-def _hom_sequence_x_then_y(X, Y, upto):
-    """h_0..h_upto by the column recurrence over X's letters, then Y's,
-    with no memo (oracle for the letter order of super_hom_sequence)."""
-    table = X.table
-    letters = [LaurentPoly.monomial(table, c, e) for c, e in X.monos + Y.monos]
-    col = [LaurentPoly.const(table, 1)] * (len(letters) + 1)
-    hs = [col[-1]]
-    for _ in range(upto):
-        prev, col = col, [LaurentPoly.zero(table)]
-        for i, z in enumerate(letters):
-            col.append(col[i] + z * (prev[i + 1] if i < len(X) else prev[i]))
-        hs.append(col[-1])
-    return hs
+@pytest.mark.parametrize("floor", [3, 0, -2])
+def test_graded_homs_on_signed_alphabets(floor):
+    # graded over k = 1, the x-degree is a's exponent: -1, 0 or +1 on
+    # every letter, with a repeat, the unit monomial and -1 entries.  The
+    # buckets kept are exactly the oracle's at or above the floor; on a;-a,
+    # where h_d = 0 for d > 0, every bucket cancels and none is kept
+    t = VarTable(["a", "b"])
+    X = Alphabet(t, [(1, (1, 0)), (1, (1, 0)), (1, (0, 0)), (-1, (-1, 1))])
+    Y = Alphabet(t, [(1, (0, 1)), (-1, (1, -1)), (1, (-1, 0))])
+    a, minus_a = Alphabet(t, [(1, (1, 0))]), Alphabet(t, [(-1, (1, 0))])
+    for A, B in ((X, Y), (Y, X), (a, minus_a)):
+        assert list(graded_homs(A, B, 1, floor, 6)) == \
+            graded_hom_sequence(A, B, 1, floor, 6)
+
+
+def test_super_hom_sequence_drops_a_builder_that_raised(monkeypatch):
+    # a builder that raised is spent; the memo must not keep serving it
+    t = VarTable(["a", "b"])
+    X = Alphabet(t, [(1, (1, 0)), (1, (0, 1))])
+    Y = Alphabet(t, [(1, (1, 1))])
+    _HOM_CACHE.pop((X, Y), None)
+    builder = hookschur.graded_homs
+
+    def failing(*args):
+        yield from islice(builder(*args), 3)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(hookschur, "graded_homs", failing)
+    assert super_hom_sequence(X, Y, 2) == hom_sequence_x_then_y(X, Y, 2)
+    with pytest.raises(KeyboardInterrupt):
+        super_hom_sequence(X, Y, 5)
+    monkeypatch.setattr(hookschur, "graded_homs", builder)
+    assert super_hom_sequence(X, Y, 5) == hom_sequence_x_then_y(X, Y, 5)
+
+
+def test_graded_homs_refuse_a_letter_above_x_degree_one():
+    # the cut counts at most one x-degree per letter, so a letter a^2
+    # graded over k = 1 would make it drop buckets that reach the floor
+    t = VarTable(["a", "b"])
+    X = Alphabet(t, [(1, (2, 0))])
+    with pytest.raises(ValueError, match="x-degree above 1"):
+        next(graded_homs(X, Alphabet.empty(t), 1, 0, 3))
+    assert list(graded_homs(X, Alphabet.empty(t), 0, 0, 3)) == \
+        graded_hom_sequence(X, Alphabet.empty(t), 0, 0, 3)
 
 
 @pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
@@ -240,7 +276,7 @@ def test_super_hom_sequence_letter_order(h):
     # then Y, in both orientations of the residue alphabets
     _, z0, z1 = z_alphabets(h)
     for X, Y in ((z0, z1), (z1, z0)):
-        assert super_hom_sequence(X, Y, 6) == _hom_sequence_x_then_y(X, Y, 6)
+        assert super_hom_sequence(X, Y, 6) == hom_sequence_x_then_y(X, Y, 6)
 
 
 @pytest.mark.parametrize("xs, ys", [

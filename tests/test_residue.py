@@ -6,19 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 from superschur import residue
-from superschur.hookschur import Alphabet, hook_schur_eval, super_hom_sequence
+from superschur.hookschur import Alphabet, graded_homs, hook_schur_eval
 from superschur.laurent import InexactError, LaurentPoly, VarTable
 from superschur.partitions import (Hook, HookClass, classify_hook,
                                    enumerate_partitions)
 from superschur.poincare import budzik_suite, multiplicity, p_series
-from superschur.residue import (_KERNELS, _integral, _kernel,
-                                constant_term_by_kernel,
+from superschur.residue import (_KERNELS, _kernel, constant_term_by_kernel,
                                 constant_term_with_delta, delta_numerator,
-                                graded_homs, hs_on_z, inner_product,
-                                m_bar_prime_residue, m_prime_residue,
-                                residue_table, z_alphabets)
+                                hs_on_z, inner_product, m_bar_prime_residue,
+                                m_prime_residue, residue_table, z_alphabets)
 
-from conftest import laurent_polys
+from conftest import graded_hom_sequence, laurent_polys
 
 
 def test_residue_table_layout():
@@ -363,7 +361,7 @@ def test_bar_integral_matches_explicit_product(h):
         for lam in enumerate_partitions(n):
             f = hs_on_z(lam, h) * hs_on_z((1,), h)
             got = m_bar_prime_residue(lam, h)
-            assert got == _integral(f, h), lam
+            assert got == inner_product(f, LaurentPoly.const(f.table, 1), h), lam
             assert got * k_l == constant_term_with_delta(f, h), lam
 
 
@@ -517,24 +515,42 @@ def test_kernel_reads_only_x_degree_kl_and_up(h):
     assert bar and min(_x_degree(table, key, h.k) for key in bar) >= kl - 1
 
 
+@pytest.mark.parametrize("h", [Hook(2, 2), Hook(3, 2), Hook(3, 3)])
+def test_bar_kernel_absorbs_only_terms_above_its_cut(monkeypatch, h):
+    # every term of the Delta numerator has x-degree -kl and a letter of
+    # HS_(1) adds -1, 0 or +1, so only the letters of x-degree >= kl - top
+    # go into the product that _absorb receives: each of its terms has
+    # x-degree >= -top, and the kernel is the summed one all the same
+    table = residue_table(h)
+    kl = h.k * h.l
+    received = []
+    absorb = residue._absorb
+
+    def recorded(terms, *args):
+        received.append(terms)
+        return absorb(terms, *args)
+
+    monkeypatch.setattr(residue, "_absorb", recorded)
+    for top in (kl - 1, kl):
+        _KERNELS.pop((h, True), None)
+        received.clear()
+        kern = _kernel(table, h, top, True)
+        assert len(received) == 1
+        assert min(_x_degree(table, key, h.k) for key in received[0]) >= -top
+        assert kern == _summed_bar_kernel(table, h, top)
+
+
 @pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
 @pytest.mark.parametrize("odd", [False, True])
 def test_graded_homs_equal_complete_functions_cut_at_floor(h, odd):
-    # the buckets kept are exact: h_d of the ungraded columns, split by
-    # x-degree, on every bucket at or above the floor, and nothing below it
+    # the buckets kept are exact: h_d of the plain X-then-Y recurrence,
+    # split by x-degree, on every bucket at or above the floor, and
+    # nothing below it
     h = Hook(*h)
-    table, z0, z1 = z_alphabets(h)
+    _, z0, z1 = z_alphabets(h)
     X, Y = (z1, z0) if odd else (z0, z1)
     D = 10
-    full = super_hom_sequence(X, Y, D)
     for floor in (h.k * h.l, 0, -D):
-        graded = graded_homs(h, odd, floor, D)
+        graded = list(graded_homs(X, Y, h.k, floor, D))
         assert len(graded) == D + 1
-        for d, (hd, buckets) in enumerate(zip(full, graded)):
-            want = {}
-            for key, c in hd._packed.items():
-                g = _x_degree(table, key, h.k)
-                if g >= floor:
-                    want.setdefault(g, {})[key] = c
-            got = {g: p._packed for g, p in buckets.items()}
-            assert got == want, (floor, d)
+        assert graded == graded_hom_sequence(X, Y, h.k, floor, D), floor
