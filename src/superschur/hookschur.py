@@ -27,7 +27,7 @@ class Alphabet:
     """Ordered multiset of signed Laurent monomials over a shared table.
 
     Repeats and the constant monomial 1 are permitted.  Hashable so that
-    the complete-function and hook-Schur caches can key on it.
+    the complete-function memo can key on it.
     """
 
     __slots__ = ("table", "monos")
@@ -91,7 +91,6 @@ class Alphabet:
 # -- complete functions and Jacobi-Trudi ------------------------------
 
 _HOM_CACHE: dict = {}
-_HS_CACHE: dict = {}
 
 
 def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
@@ -216,22 +215,14 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """HS_lam(X;Y) through the super Jacobi-Trudi determinant (fast route).
 
     Uses the duality HS_lam(X;Y) = HS_lam'(Y;X) to keep the determinant
-    at size min(height, width).
+    at size min(height, width).  Memoises nothing: the complete functions
+    it reads are memoised per alphabet pair (`super_hom_sequence`).
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
-    if not lam:
-        return LaurentPoly.const(X.table, 1)
-    key = (tuple(lam), X, Y)
-    hit = _HS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(lam) > lam[0]:
-        result = hook_schur_eval(conjugate(lam), Y, X)
-    else:
-        result = _jacobi_trudi(lam, X, Y)
-    _HS_CACHE[key] = result
-    return result
+    if lam and len(lam) > lam[0]:
+        return hook_schur_eval(conjugate(lam), Y, X)
+    return _jacobi_trudi(lam, X, Y)
 
 
 # -- the definitional route: tableau enumeration -------------------------

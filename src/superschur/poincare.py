@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 from .characters import char_multiplicity, class_weights
@@ -208,13 +209,18 @@ def _move_row(monos: list, ids: dict, n: int, k: int, r: int) -> tuple:
 @lru_cache(maxsize=None)
 def _packed_orderings(block: tuple, lo: int) -> tuple:
     """The distinct orderings of a block of exponents that starts at
-    variable lo, each as its packed offset from the zero key."""
-    if not block:
-        return (0,)
-    shift = VarTable.WIDTH * lo
-    return tuple((v << shift) + rest for i, v in enumerate(block)
-                 if v not in block[:i]
-                 for rest in _packed_orderings(block[:i] + block[i + 1:], lo + 1))
+    variable lo, each as its packed offset from the zero key.  Only the
+    nonzero entries are placed: each distinct value in turn takes every
+    set of its count among the positions still free, so nothing recurses
+    per variable."""
+    placed = [(0, 0)]  # (bit mask of the positions taken, packed offset)
+    for v in sorted(set(block) - {0}):
+        placed = [(mask | sum(1 << p for p in ps),
+                   offset + sum(v << VarTable.WIDTH * (lo + p) for p in ps))
+                  for mask, offset in placed
+                  for ps in combinations([p for p in range(len(block))
+                                          if not mask >> p & 1], block.count(v))]
+    return tuple(offset for _, offset in placed)
 
 
 def univariate_coefficients(series: LaurentPoly, D: int) -> list[int]:

@@ -4,17 +4,16 @@ The kernel Delta has numerator prod_{i!=j}(1 - x_i x_j^-1) (and the same
 in y) and denominator prod_{i,j}(1 + x_i y_j^-1)(1 + x_i^-1 y_j).  The
 contour ordering |x| > |y| is realized algebraically: each denominator
 pair is rewritten as x_i^-1 y_j * sum_{m>=0} (m+1)(-x_i^-1 y_j)^m, so no
-numeric radius exists anywhere.  Truncation of each geometric factor is
-per-term and exact: absorbing a factor only lowers x exponents and raises
-y exponents, so a term that leaves a box |e_i| <= r never returns to it.
+numeric radius exists anywhere.  Absorbing a factor only lowers x
+exponents and raises y exponents, so its truncation is exact (below).
 
 The constant term CT[f Delta] = sum_e f_e [x^-e] Delta is linear in f.
 Every integral is therefore one dot product of f against Delta's
 expansion (the kernel), built per hook by absorbing the factors into the
 Delta numerator.  `constant_term_with_delta` keeps the per-integrand
-expansion as the reference, inside windows widened by `slack`, with no
-further cut; the tests check that the kernel agrees with it for every
-slack.
+expansion as the reference, inside windows widened by `slack`, the only
+windows in the module; the tests check that the kernel agrees with it
+for every slack.
 
 Call the sum of the x exponents of a term its x-degree.  Every entry of
 Delta has x-degree -kl - s after s geometric steps: the difference
@@ -31,14 +30,15 @@ The other way round, an f whose terms have x-degree <= T reads only the
 entries with x-degree >= -T, T the kernel's top.  There is one kernel
 builder (`_kernel`), keyed by (hook, bar).  With `bar` the factor
 HS_(1) goes into the Delta numerator, since the constant term is linear
-in it.  The absorption stops each term once its x-degree falls below -T.
-The cut is exact, because steps only lower the x-degree.  It also bounds
-the box the entries reach (see `_kernel`).  A per-lam integral takes T
-from lam (`_hs_top`), not from f's terms.  The kernel is memoised per
-(hook, bar) by its top alone; a request above it rebuilds at the new
-top.  A series knows its largest top before its first integral and sizes
-the kernel once.  Below kl - bar the kernel is empty, and no integral
-builds a numerator, a Z alphabet or a hook Schur function for it.
+in it.  The absorption stops each term once its x-degree falls below -T,
+its only cut.  The cut is exact, because steps only lower the x-degree.
+It also bounds the box the entries reach (see `_kernel`), so no box cuts
+a term.  A per-lam integral takes T from lam (`_hs_top`), not from f's
+terms.  The kernel is memoised per (hook, bar) by its top alone; a
+request above it rebuilds at the new top.  A series knows its largest
+top before its first integral and sizes the kernel once.  Below kl - bar
+the kernel is empty, and no integral builds a numerator, a Z alphabet or
+a hook Schur function for it.
 """
 from __future__ import annotations
 
@@ -76,18 +76,15 @@ def delta_numerator(table: VarTable, h) -> LaurentPoly:
     return result * LaurentPoly.monomial(table, 1, tuple(pre))
 
 
-def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int,
-            top: int) -> dict:
+def _absorb(terms: dict, table: VarTable, k: int, ell: int, top: int) -> dict:
     """Packed terms times every geometric factor, grouped by x index then
-    y index, keeping only what can land in the box |e_i| <= r at x-degree
-    >= -top.  Absorbing one factor of (x_i^-1 y_j) adds `step`; x
-    exponents and the x-degree only ever fall and y exponents only rise,
-    so a term is dropped as soon as x_i < -r, y_j > r or its x-degree
-    < -top, and once every factor touching x_i is in, x_i is clipped to
-    [-r, r].  Each term carries top plus its x-degree, the steps it may
-    still take, in a field above its exponents, which every step lowers
-    by one.  Exact on that box and cut."""
-    field, width = table.field, VarTable.WIDTH
+    y index, keeping only what stays at x-degree >= -top.  Absorbing one
+    factor of (x_i^-1 y_j) adds `step` and lowers the x-degree by one, so
+    a term is dropped as soon as its x-degree falls below -top: that cut
+    is the only one, and it is exact.  Each term carries top plus its
+    x-degree, the steps it may still take, in a field above its
+    exponents, which every step lowers by one."""
+    width = VarTable.WIDTH
     above = width * len(table)
     terms = {key + (left << above): c for key, c in terms.items()
              if (left := top + _x_degree(table, key, k)) >= 0}
@@ -97,14 +94,12 @@ def _absorb(terms: dict, table: VarTable, k: int, ell: int, r: int,
             new: dict[int, int] = {}
             get = new.get
             for key, c in terms.items():
-                bound = min(field(key, i) + r, r - field(key, k + j), key >> above)
                 # the m-th term of the factor is (m + 1) (-x_i^-1 y_j)^m
-                for m in range(bound + 1):
+                for m in range((key >> above) + 1):
                     new[key] = get(key, 0) + c * (m + 1)
                     key += step
                     c = -c
             terms = {key: c for key, c in new.items() if c}
-        terms = table.clip(terms, i, -r, r)
     exponents = (1 << above) - 1
     return {key & exponents: c for key, c in terms.items()}
 
@@ -130,18 +125,23 @@ def _check_table(table: VarTable, h) -> None:
 def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     """Exact constant term of f * Delta, with Delta expanded per the
     |x| > |y| ordering, inside windows widened by `slack` (the oracle).
-    f is multiplied by the Delta numerator and every geometric factor is
-    absorbed into the product, keeping the box |e_i| <= slack."""
+    f is multiplied by the Delta numerator, the product is clipped to
+    x_i >= -slack and y_j <= slack, and every geometric factor is absorbed
+    into it down to x-degree -k slack."""
     h = as_hook(h)
     k, ell = h.k, h.l
     table = f.table
     _check_table(table, h)
-    if slack > VarTable.LIMIT:
-        raise ValueError(f"slack {slack} is past the packing limit {VarTable.LIMIT}")
     clip, limit = table.clip, VarTable.LIMIT
     num = delta_numerator(table, h)
+    # a term takes at most k slack plus its x-degree steps, each moving
+    # one x and one y exponent by one
+    reach = f.reach + num.reach
+    if (k + 1) * reach + k * slack > limit:
+        raise ValueError(f"slack {slack} on exponents up to {reach} is past "
+                         f"the packing limit {limit}")
     # x exponents only ever decrease, y only increase: a term must reach
-    # x_i >= -slack and y_j <= slack after num, and must stay there
+    # x_i >= -slack and y_j <= slack after num
     terms = f._packed
     for i in range(k):
         terms = clip(terms, i, -slack - num.degree_range(table.names[i])[1], limit)
@@ -152,8 +152,7 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
         terms = clip(terms, i, -slack, limit)
     for j in range(k, k + ell):
         terms = clip(terms, j, -limit, slack)
-    # a term of x-degree < -k slack cannot end in the box
-    return _absorb(terms, table, k, ell, slack, k * slack).get(table.zero_key, 0)
+    return _absorb(terms, table, k, ell, k * slack).get(table.zero_key, 0)
 
 
 # (hook, bar) -> (T, {packed key of -e: [x^e] HS_(1)^bar Delta for
@@ -169,17 +168,19 @@ def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
     the bar factor goes into it, and only its letters of x-degree
     >= kl - top: the numerator has x-degree -kl, and the other letters put
     every term below -top.  One absorption stops each term once its
-    x-degree falls below -top.  The cut is exact, because every geometric
-    step lowers the x-degree by one.  A kept entry took at most
-    top - kl + bar steps from a numerator within k + l - 1 + bar, and only
-    a letter of x-degree +1 buys the extra step, which moves no exponent
-    outward, so it lies in the box k + l - 1 + top - kl + bar.  Below
-    kl - bar the kernel is empty, whatever the memo holds, and no
-    numerator is built.  Memoised per (hook, bar) by its top; a request
-    above it rebuilds at the new top.  ValueError past the packing limit,
-    which with k, l >= 1 bounds every exponent too."""
+    x-degree falls below -top, its only cut.  The cut is exact, because
+    every geometric step lowers the x-degree by one.  No box cuts a term:
+    a kept entry took at most top - kl + bar steps from a numerator within
+    k + l - 1 + bar, and only a letter of x-degree +1 buys the extra step,
+    which moves no exponent outward, so it lies in the box
+    k + l - 1 + top - kl + bar.  Below kl - bar the kernel is empty,
+    whatever the memo holds, and no numerator is built.  Memoised per
+    (hook, bar) by its top; a request above it rebuilds at the new top.
+    ValueError past the packing limit, which with k, l >= 1 bounds every
+    exponent too."""
     if top + bar > VarTable.LIMIT:
-        raise ValueError(f"kernel top {top} is past the packing limit "
+        what = f"{top + bar}, counting the bar letter," if bar else top
+        raise ValueError(f"kernel top {what} is past the packing limit "
                          f"{VarTable.LIMIT}")
     kl = h.k * h.l
     if top < kl - bar:
@@ -192,8 +193,7 @@ def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
         _, z0, z1 = z_alphabets(h)
         num = num * Alphabet(table, [z for z in z0.monos + z1.monos
                                      if sum(z[1][:h.k]) >= kl - top]).sum_poly()
-    box = h.k + h.l - 1 + top - kl + bar
-    terms = _absorb(num._packed, table, h.k, h.l, box, top)
+    terms = _absorb(num._packed, table, h.k, h.l, top)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
     _KERNELS[h, bar] = (top, kern)
@@ -363,20 +363,24 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     def walk(p: int, exps: tuple, left: int, prefix: dict):
         top = left if p in (0, n) else min(left, exps[-1])
         col = cols[p >= n]
-        if p == width - 1:
-            for e in range(top + 1):
-                value = pair(prefix, col[e])
-                if value:
-                    yield exps + (e,), _over_k_l(value, h)
-            return
         # the factors after this one carry at most `rest` with a U factor
         # among them, else kl per T factor
         t_after, u_after = max(n - p - 1, 0), width - max(p + 1, n)
         for e in range(top + 1):
+            # a zero ends its sorted block: the walk jumps past the zeros
+            # after it, each a factor h_0 = 1, so it nests one frame per
+            # nonzero exponent, not one per variable
+            q = p + 1 if e else (n if p < n else width)
+            exps_e = exps + (e,) + (0,) * (q - p - 1)
+            if q == width:
+                value = pair(prefix, col[e])
+                if value:
+                    yield exps_e, _over_k_l(value, h)
+                continue
             rest = left - e
             carry = rest if u_after else min(rest, kl * t_after)
             prefix_e = times(prefix, col[e], need - carry) if e else prefix
             if prefix_e:
-                yield from walk(p + 1, exps + (e,), rest, prefix_e)
+                yield from walk(q, exps_e, rest, prefix_e)
 
     yield from walk(0, (), D, {0: LaurentPoly.const(table, 1)})

@@ -165,6 +165,13 @@ def test_bad_usage_exits_2(capsys, monkeypatch):
                      "--degree", "40000", "--route", route]) == 2
         err = capsys.readouterr().err
         assert "40000" in err and "32767" in err
+    # the bar kernel's letter reaches one past its top, and the refusal
+    # names that value, not the top the degree gives
+    assert main(["series", "--mode", "barprime", "--hook", "1,1", "--n", "0",
+                 "--m", "1", "--degree", "32767", "--route", "residue"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: kernel top 32768, counting the bar letter, is past "
+                   "the packing limit 32767\n"), err
     # a flag the suite does not read is refused, not silently ignored
     for argv, flag in ((["budzik", "--degree", "9"], "--degree"),
                        (["qidentities", "--hooks", "2,2", "--jobs", "4"], "--hooks"),

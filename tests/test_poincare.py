@@ -536,3 +536,15 @@ def test_packed_orderings_equal_distinct_permutations():
                 # a cached result is shared by every caller, so it is a tuple
                 assert isinstance(got, tuple), block
                 assert sorted(got) == sorted(want), (block, lo)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_series_in_many_variables_nests_no_frame_per_variable(route):
+    # a block's orderings place only its nonzero entries, and the Cauchy
+    # walk jumps past a sorted block's trailing zeros, so neither nests a
+    # frame per variable: in 1,200 variables through degree 1 the (1, 0)
+    # jump series is 1 + t_1 + ... + t_1200 on both routes
+    series = p_series("prime", (1, 0), 1200, 0, 1, route=route)
+    zero, width = series.table.zero_key, VarTable.WIDTH
+    want = [zero] + [zero + (1 << width * i) for i in range(1200)]
+    assert series._packed == dict.fromkeys(want, 1)

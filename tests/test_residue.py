@@ -156,6 +156,11 @@ def test_slack_past_limit_rejected():
     t = residue_table((1, 1))
     with pytest.raises(ValueError, match="packing limit"):
         constant_term_with_delta(LaurentPoly.const(t, 1), (1, 1), VarTable.LIMIT + 1)
+    # a term may take k slack plus its x-degree steps, so a high x-degree
+    # is refused too: on (1, 1) with slack 1000, x1^32000 times the
+    # numerator's x1^-1 y1 could take 32,999 steps and carry y1 to 33,000
+    with pytest.raises(ValueError, match="packing limit"):
+        constant_term_with_delta(LaurentPoly.monomial(t, 1, (32000, 0)), (1, 1), 1000)
 
 
 def test_inexact_residue_raises():
@@ -281,23 +286,74 @@ def test_bar_kernel_equals_summed_bar_kernel(h):
 
 
 def _in_box(kern: dict, table, box: int) -> bool:
-    return all(max(map(abs, table.unpack(key)), default=0) <= box for key in kern)
+    """Every exponent of every key has |e_i| <= box (on an empty table,
+    whose keys have no exponent, whatever the box)."""
+    return all(abs(e) <= box for key in kern for e in table.unpack(key))
+
+
+def _boxed_absorb(terms: dict, table, k: int, ell: int, r: int,
+                  top: int) -> dict:
+    """The absorption with a second cut, the box |e_i| <= r, beside the
+    x-degree cut at -top (oracle for `residue._absorb`).  A term takes
+    m steps of the factor (x_i^-1 y_j) only while x_i >= -r, y_j <= r and
+    its x-degree stays >= -top, and once every factor touching x_i is in,
+    x_i is clipped to [-r, r]."""
+    field, width = table.field, VarTable.WIDTH
+    above = width * len(table)
+    terms = {key + (left << above): c for key, c in terms.items()
+             if (left := top + _x_degree(table, key, k)) >= 0}
+    for i in range(k):
+        for j in range(ell):
+            step = (1 << (width * (k + j))) - (1 << (width * i)) - (1 << above)
+            new: dict[int, int] = {}
+            for key, c in terms.items():
+                bound = min(field(key, i) + r, r - field(key, k + j), key >> above)
+                for m in range(bound + 1):
+                    new[key] = new.get(key, 0) + c * (m + 1)
+                    key += step
+                    c = -c
+            terms = {key: c for key, c in new.items() if c}
+        terms = table.clip(terms, i, -r, r)
+    exponents = (1 << above) - 1
+    return {key & exponents: c for key, c in terms.items()}
+
+
+@pytest.mark.parametrize("h", KERNEL_HOOKS)
+def test_kernel_equals_boxed_absorption(h):
+    # the box the entries reach cuts nothing: the kernel, with its one
+    # cut at x-degree -top, equals the absorption that also keeps every
+    # term in the box its top implies, for the plain and the bar kernel
+    # (the whole of HS_(1) in the numerator), at every top from kl - 1 to
+    # 2 kl + 2, from a cleared memo
+    h = Hook(*h)
+    table = residue_table(h)
+    kl = h.k * h.l
+    num = delta_numerator(table, h)
+    for bar in (False, True):
+        start = num * hs_on_z((1,), h) if bar else num
+        for top in range(kl - 1, 2 * kl + 3):
+            terms = _boxed_absorb(start._packed, table, h.k, h.l,
+                                  _implied_box(h, top, bar), top)
+            want = {2 * table.zero_key - key: c for key, c in terms.items()}
+            _KERNELS.clear()
+            assert _kernel(table, h, top, bar) == want, (bar, top)
 
 
 @pytest.mark.parametrize("h", KERNEL_HOOKS)
 def test_cut_kernel_is_whole_box_kernel_below_its_top(h):
     # the kernel at top equals a reference cut to x-degree <= top: the
-    # numerator absorbed up to one past the largest top asked, on a box
-    # three wider than that top implies, so the top alone bounds the box.
-    # The bar kernel, whose numerator carries HS_(1), equals the reference
-    # summed over the letters of HS_(1), on the box its own top implies
+    # numerator absorbed up to one past the largest top asked, and its
+    # entries lie in the box that top implies, so the top alone bounds
+    # the box.  The bar kernel, whose numerator carries HS_(1), equals the
+    # reference summed over the letters of HS_(1), on the box its own top
+    # implies
     h = Hook(*h)
     table = residue_table(h)
     kl = h.k * h.l
     tops = (kl, kl + 1, kl + 3, 2 * kl)
     far = max(tops) + 1
     terms = residue._absorb(delta_numerator(table, h)._packed, table, h.k, h.l,
-                            _implied_box(h, far) + 3, far)
+                            far)
     whole = {2 * table.zero_key - key: c for key, c in terms.items()}
     whole_bar = {}
     for z, w in hs_on_z((1,), h)._packed.items():
@@ -366,15 +422,17 @@ def test_bar_integral_matches_explicit_product(h):
 
 
 def _counting_absorb(monkeypatch) -> list:
-    """Wrap `residue._absorb`, recording each build's (k, l, box, top)."""
+    """Wrap `residue._absorb`, recording each build's (k, l, top) and the
+    terms it returned."""
     builds = []
     absorb = residue._absorb
     params = inspect.signature(absorb)
 
     def counted(*args, **kwargs):
         named = params.bind(*args, **kwargs).arguments
-        builds.append((named["k"], named["ell"], named["r"], named["top"]))
-        return absorb(*args, **kwargs)
+        terms = absorb(*args, **kwargs)
+        builds.append((named["k"], named["ell"], named["top"], terms))
+        return terms
 
     monkeypatch.setattr(residue, "_absorb", counted)
     return builds
@@ -392,7 +450,7 @@ def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, degree):
     # integral, at its largest top: D with a U factor, and at most kl per
     # T factor without.  The integrand's degree is one more with the bar
     # factor's letter, but that letter sits in the kernel's numerator, so
-    # a bar series builds one kernel, at its own top and the bar box, and
+    # a bar series builds one kernel, at its own top, in the bar box, and
     # no plain kernel one higher; the top alone fixes the box
     bar = mode == "bar_prime"
     assert degree == D + bar
@@ -400,16 +458,17 @@ def test_one_kernel_per_series(monkeypatch, mode, h, n, m, D, degree):
     builds = _counting_absorb(monkeypatch)
     _KERNELS.clear()
     p_series(mode, h, n, m, D)
-    assert builds == [(h.k, h.l, _implied_box(h, top, bar), top)]
+    assert [build[:3] for build in builds] == [(h.k, h.l, top)]
     assert list(_KERNELS) == [(h, bar)]
     assert _KERNELS[h, bar][0] == top
+    assert _in_box(_KERNELS[h, bar][1], residue_table(h), _implied_box(h, top, bar))
 
 
 def test_budzik_builds_each_kernel_at_rising_tops(monkeypatch):
     # the lam of one size arrive with rising tops, and the memo is keyed
     # by the top alone, so each hook's builds (the diagonal sum adds
     # (1, 1) and (2, 0)) come at strictly rising tops, none at a top
-    # already covered, each on the box its top implies
+    # already covered, each kernel in the box its top implies
     builds = _counting_absorb(monkeypatch)
     _KERNELS.clear()
     assert all(r["pass"] for r in budzik_suite(7, [(2, 2), (3, 1)]))
@@ -417,8 +476,9 @@ def test_budzik_builds_each_kernel_at_rising_tops(monkeypatch):
     # (1, 1) at 0 would add 8
     assert len(builds) == 18
     tops = {}
-    for k, ell, box, top in builds:
-        assert box == _implied_box(Hook(k, ell), top)
+    for k, ell, top, terms in builds:
+        h = Hook(k, ell)
+        assert _in_box(terms, residue_table(h), _implied_box(h, top))
         tops.setdefault((k, ell), []).append(top)
     for hook, seq in tops.items():
         assert all(a < b for a, b in zip(seq, seq[1:])), (hook, seq)
@@ -493,10 +553,12 @@ def test_empty_kernel_builds_no_z_alphabet(monkeypatch):
 
 
 def test_kernel_past_limit_rejected():
-    # the bar factor's letters reach one past the top
+    # the bar factor's letters reach one past the top, and the refusal
+    # names that value
     with pytest.raises(ValueError, match="past the packing limit"):
         _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT + 1)
-    with pytest.raises(ValueError, match="past the packing limit"):
+    with pytest.raises(ValueError, match=f"top {VarTable.LIMIT + 1}, counting "
+                       "the bar letter, is past the packing limit"):
         _kernel(residue_table((1, 1)), Hook(1, 1), VarTable.LIMIT, True)
 
 
