@@ -20,8 +20,12 @@ removal direction, a signed sum over the mu less one rho_1-strip in the
 column of rho[1:] (`_pull_row`, the transpose of the adding row, built
 afresh for each weight table), and the sum runs over the smaller of h
 and its complement, since sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|
-(column orthogonality).  So a series through degree n needs only the
-columns of the classes rho[1:], the sigma with |sigma| + sigma_1 <= n.
+(column orthogonality).  As chi^{mu'} = +-chi^mu, where mu' is the
+conjugate shape, a pair {mu, mu'} of that set is read once and counted
+twice; conjugation maps H(k, l) onto H(l, k), so w_(k,l) = w_(l,k) and
+one memo entry serves both orders of a hook.  So a series through
+degree n needs only the columns of the classes rho[1:], the sigma with
+|sigma| + sigma_1 <= n.
 A multiplicity is one inner product, (1/(N + b)!) sum_rho chi^lam(rho)
 V(rho) with b = 1 for the bar modes, and the Poincare series reads the
 same V against power sums.
@@ -34,7 +38,7 @@ from itertools import repeat
 from math import factorial
 
 from .laurent import VarTable, exact_quotient
-from .partitions import Hook, Partition, as_hook, partitions_of
+from .partitions import Hook, Partition, as_hook, conjugate, partitions_of
 
 
 class _Memo:
@@ -187,17 +191,29 @@ def _hook_weights(n: int, h: Hook) -> dict:
 
     The sum runs over the smaller of h and its complement: by column
     orthogonality sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|, so w_h(rho) =
-    n! - |C_rho| sum_{mu not in h} chi^mu(rho)^2.  Each chi^mu(rho) is
-    pulled from the column of rho[1:] by `_pull_row`, so the column of rho
-    is never built, and that of rho[1:] is read only when some shape of
-    the set has a rho_1-strip to lose: never when the set is empty."""
-    hit = _MEMO.weights.get((n, h))
+    n! - |C_rho| sum_{mu not in h} chi^mu(rho)^2.  Since chi^{mu'} =
+    +-chi^mu, a pair {mu, mu'} of the set is read once and counted twice.
+    Each chi^mu(rho) is pulled from the column of rho[1:] by `_pull_row`,
+    so the column of rho is never built, and that of rho[1:] is read only
+    when some shape of the set has a rho_1-strip to lose: never when the
+    set is empty.  Conjugation maps H(k, l) onto H(l, k), so w_(k,l) =
+    w_(l,k): the memo holds one entry per unordered hook."""
+    key = (n, h) if h.k >= h.l else (n, Hook(h.l, h.k))
+    hit = _MEMO.weights.get(key)
     if hit is not None:
         return hit
     classes = partitions_of(n)
     inside = [len(mu) <= h.k or mu[h.k] <= h.l for mu in classes]
     complement = 2 * sum(inside) > len(classes)
-    masks = [_mask(mu) for mu, flag in zip(classes, inside) if flag != complement]
+    count = {}  # {mu: 2 where mu' != mu is also summed, 1 otherwise}
+    for mu, flag in zip(classes, inside):
+        if flag != complement:
+            nu = conjugate(mu)
+            if nu in count:
+                count[nu] = 2
+            else:
+                count[mu] = 1
+    masks = list(map(_mask, count))
     full = factorial(n)
     sizes = _MEMO.sizes
     weights = {}
@@ -207,22 +223,23 @@ def _hook_weights(n: int, h: Hook) -> dict:
         rows = rows_of.get(r)
         if rows is None:
             # a shape with no r-strip to lose has chi = 0 on every such class
-            rows = rows_of[r] = [row for row in map(_pull_row, masks, repeat(r))
-                                 if row != ((), ())]
+            rows = rows_of[r] = [(plus, minus, m) for (plus, minus), m in
+                                 zip(map(_pull_row, masks, repeat(r)), count.values())
+                                 if plus or minus]
         w = 0
         if rows:
             get = _column(rho[1:]).get
-            for plus, minus in rows:
+            for plus, minus, m in rows:
                 c = sum(map(get, plus, _ZEROS))
                 if minus:
                     c -= sum(map(get, minus, _ZEROS))
-                w += c * c
+                w += m * c * c
             w *= sizes.get(rho) or sizes.setdefault(rho, class_size(rho))
         if complement:
             w = full - w
         if w:
             weights[rho] = w
-    _MEMO.weights[n, h] = weights
+    _MEMO.weights[key] = weights
     return weights
 
 

@@ -16,7 +16,9 @@ read-only tuple-keyed view.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import ItemsView, Mapping
+from itertools import compress
 from typing import Iterable
 
 
@@ -34,6 +36,9 @@ def exact_quotient(total: int, divisor: int, what: str) -> int:
     return q
 
 
+_LITTLE = sys.byteorder == "little"  # big-endian bytes list the last field first
+
+
 class VarTable:
     """Ordered list of distinct variable names, fixed for its lifetime.
 
@@ -41,7 +46,7 @@ class VarTable:
     `zero_key`, the packed form of the zero vector.
     """
 
-    WIDTH = 16  # bits per packed exponent field
+    WIDTH = 16  # bits per packed exponent field: `unpack` reads them as C shorts
     LIMIT = (1 << (WIDTH - 1)) - 1  # largest |exponent| a field holds
     _MASK = (1 << WIDTH) - 1
     _BIAS = 1 << (WIDTH - 1)
@@ -83,7 +88,11 @@ class VarTable:
         return key
 
     def unpack(self, key: int) -> tuple:
-        return tuple(self.field(key, i) for i in range(len(self.names)))
+        """The exponent vector of a packed key, read in one pass: flipping
+        each field's bias bit leaves e_i as a signed 16-bit integer."""
+        fields = memoryview((key ^ self.zero_key).to_bytes(
+            2 * len(self.names), sys.byteorder)).cast("h")
+        return tuple(fields if _LITTLE else fields[::-1])
 
     def field(self, key: int, i: int) -> int:
         """Exponent of variable i in a packed key."""
@@ -352,8 +361,9 @@ class LaurentPoly:
         if not self._packed:
             return "0"
         parts = []
+        names = self.table.names
         for exps, coeff in self.sorted_terms():
-            factors = [f"{v}^{a}" for v, a in zip(self.table.names, exps) if a]
+            factors = [f"{v}^{a}" for v, a in compress(zip(names, exps), exps)]
             parts.append(f"{coeff} * " + (" ".join(factors) if factors else "1"))
         return " + ".join(parts)
 

@@ -217,7 +217,9 @@ def test_hook_weights_match_full_columns(sweep):
 
 def test_hook_weights_sum_over_the_smaller_set(monkeypatch):
     # at n = 10, H(2, 2) misses 2 of the 42 shapes and H(1, 1) holds 10:
-    # the first sums over its complement, the second over the hook
+    # the first sums over its complement, the second over the hook, and
+    # each pulls one shape of every conjugate pair it sums: (4, 3, 3) and
+    # (3, 3, 3, 1) are one pair, the 10 hooks (a, 1^(10-a)) five
     pulled = []
     pull_row = characters._pull_row
 
@@ -234,8 +236,34 @@ def test_hook_weights_sum_over_the_smaller_set(monkeypatch):
         hook = enumerate_partitions(10, in_hook=h)
         summed = hook if inside else [mu for mu in shapes if mu not in hook]
         assert len(summed) == (10 if inside else 2)
-        assert set(pulled) == {_mask(mu) for mu in summed}, h
+        kept = {mu for mu in summed if _mask(mu) in pulled}
+        assert len(set(pulled)) == len(kept) == (5 if inside else 1), h
+        assert kept | {conjugate(mu) for mu in kept} == set(summed), h
         assert weights == _full_column_weights(10, h), h
+
+
+def test_conjugate_hooks_weigh_alike():
+    # conjugation maps H(k, l) onto H(l, k) and squares chi^mu' = +-chi^mu
+    for h in WEIGHT_HOOKS:
+        if h.k != h.l:
+            for n in range(11):
+                assert _full_column_weights(n, h) == \
+                    _full_column_weights(n, Hook(h.l, h.k)), (n, h)
+
+
+def test_conjugate_hook_weights_served_from_one_entry(monkeypatch):
+    # once H(2, 1) is weighed, H(1, 2) reads the same memo entry and
+    # pulls no row
+    def refuse(*args):
+        raise AssertionError("pull row built")
+
+    _clear_default_cache()
+    for n in range(11):
+        first = _hook_weights(n, Hook(2, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(characters, "_pull_row", refuse)
+            assert _hook_weights(n, Hook(1, 2)) is first
+    assert len(default_cache().weights) == 11
 
 
 def test_class_sizes_computed_once_per_class(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -249,6 +250,16 @@ def test_exponent_past_limit_rejected():
         LaurentPoly.monomial(TABLE2, 1, (edge + 1, 0))
     with pytest.raises(ValueError, match=str(edge)):
         LaurentPoly(TABLE2, {(0, -edge - 1): 1})
+
+
+def test_unpack_reads_each_field_with_its_sign():
+    # the one-pass read agrees with `field`, at the packing limit too
+    edge = VarTable.LIMIT
+    for n, table in TABLES.items():
+        for exps in itertools.product((-edge, -1, 0, 1, edge), repeat=n):
+            key = table.pack(exps)
+            assert table.unpack(key) == exps
+            assert tuple(table.field(key, i) for i in range(n)) == exps
 
 
 def test_product_past_limit_raises():
