@@ -252,6 +252,8 @@ def class_weights(mode: str, h: Hook, N: int) -> dict:
     modes restrict one S_n level down, s_1^perp = d/dp_1 (the branching
     rule), so V(rho) = m_1(rho + 1) W(rho + 1), where rho + 1 is rho with
     one more part 1 and W is the weight of the mode without its bar.
+    Where V is w_h itself it is the memoised table of `_hook_weights`,
+    not a copy.
     The weights read the columns of the classes rho[1:] of S_{N+b}, never
     the column of a class of S_{N+b} itself (`_hook_weights`)."""
     bar = mode.startswith("bar")
@@ -260,11 +262,13 @@ def class_weights(mode: str, h: Hook, N: int) -> dict:
         # both weights are sums of squares and H(k-1, l-1) lies in H(k, l),
         # so the smaller hook's weight vanishes wherever w_h does
         small = _hook_weights(N + bar, h.shrink())
-        weights = {rho: w - small.get(rho, 0) for rho, w in weights.items()}
+        weights = {rho: v for rho, w in weights.items()
+                   if (v := w - small.get(rho, 0))}
     if bar:
+        # m_1(rho + 1) >= 1, so no value of W vanishes here
         weights = {rho[:-1]: rho.count(1) * w for rho, w in weights.items()
                    if rho[-1] == 1}
-    return {rho: v for rho, v in weights.items() if v}
+    return weights
 
 
 def char_multiplicity(mode: str, lam: Partition, h) -> int:

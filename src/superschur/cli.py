@@ -139,9 +139,9 @@ def _run_series(args, out) -> int:
         else:
             print(" ".join(str(c) for c in coeffs), file=out)
     else:
-        rows = [{"exponents": list(e), "coeff": c} for e, c in series.sorted_terms()]
         if args.fmt == "json":
-            print(json.dumps(rows), file=out)
+            print(json.dumps([{"exponents": list(e), "coeff": c}
+                              for e, c in series.sorted_terms()]), file=out)
         elif args.fmt == "csv":
             writer = csv.writer(out)
             writer.writerow(list(series.table.names) + ["coefficient"])

@@ -15,9 +15,13 @@ monomials (`_class_sums`).  The residue jumps are the paper's integral
 of a generating function against Delta: by the super Cauchy identity the
 coefficient of t^alpha u^beta is one integral of a product of complete
 functions (`residue.cauchy_pairing`), taken for the alpha and beta sorted
-within their blocks.  What does not depend on V is built once per
-process: the walk's monomial numbering and move rows once per variable
-split (`_WALKS`), the packed orderings of a sorted block once per block.
+within their blocks.  Either route gives one stream of values at the
+exponents sorted within each block (`_sorted_series`): `p_series`
+spreads it over the orderings of both blocks, and the derivative check
+takes its slice from the stream before anything is spread.  What does
+not depend on V is built once per process: the walk's monomial
+numbering and move rows once per variable split (`_WALKS`), the packed
+orderings of a sorted block once per block.
 """
 
 from __future__ import annotations
@@ -69,12 +73,26 @@ def p_series(mode: str, h, n: int, m: int, D: int,
              route: str = "residue") -> LaurentPoly:
     """Sum over |lam| <= D of multiplicity(lam) * HS_lam(t_1..t_n; u_1..u_m).
 
+    The series is symmetric within T and within U, so it is assembled
+    from its values at the exponents sorted within each block
+    (`_sorted_series`), each spread over its orderings (`_spread`).
+    All sums are finite and exact.
+    """
+    values = _sorted_series(mode, h, n, m, D, route)
+    return _spread(series_table(n, m), n, D, values)
+
+
+def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str):
+    """The coefficients of `p_series` at the exponent vectors sorted
+    descending within the T block (the first n) and the U block, as
+    (exponents, value) over the nonzero values.
+
     `plain` and `bar`, and every mode on the "char" route, are character
     sums and are assembled by power sums from the mode's one class
     function (`_frobenius_series`).  `prime` and `bar_prime` on the
     "residue" route take one integral per sorted monomial of T and of U by
     the Cauchy pairing (`residue.cauchy_pairing`), with no term per lam.
-    All sums are finite and exact.
+    The arguments are checked before anything is built.
     """
     h = as_hook(h)
     _check_choice(mode, route)
@@ -88,26 +106,23 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     if D > VarTable.LIMIT:
         raise ValueError(f"truncation degree {D} is past the packing limit "
                          f"{VarTable.LIMIT}")
-    table = series_table(n, m)
     if route == "char" or mode in ("plain", "bar"):
-        return _frobenius_series(mode, h, table, n, D)
-    return _spread(table, n, D, cauchy_pairing(h, n, m, D, mode == "bar_prime"))
+        return _frobenius_series(mode, h, n, n + m, D)
+    return cauchy_pairing(h, n, m, D, mode == "bar_prime")
 
 
-def _frobenius_series(mode: str, h: Hook, table: VarTable, n: int,
-                      D: int) -> LaurentPoly:
-    """The series of a character-sum mode through degree D by power sums:
-    (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N, with V
-    from `class_weights` and the first n variables of `table` as T and the
-    rest as U.  The class sums come from `_class_sums` on sorted monomials;
-    each is divided by (N+b)! exactly and spread over its orderings."""
+def _frobenius_series(mode: str, h: Hook, n: int, width: int, D: int):
+    """The sorted values of a character-sum mode through degree D by power
+    sums: (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N,
+    with V from `class_weights` and the first n of `width` variables as T
+    and the rest as U.  The class sums come from `_class_sums` on sorted
+    monomials; each is divided by (N+b)! exactly as it is drawn."""
     weights = [class_weights(mode, h, N) for N in range(D + 1)]
-    monos, sums = _class_sums(weights, n, len(table))
+    monos, sums = _class_sums(weights, n, width)
     b = mode.startswith("bar")
-    return _spread(table, n, D, (
-        (monos[k], exact_quotient(c, factorial(N + b),
-                                  "class sum for a Poincare coefficient"))
-        for N, acc in enumerate(sums) for k, c in acc.items() if c))
+    return ((monos[k], exact_quotient(c, factorial(N + b),
+                                      "class sum for a Poincare coefficient"))
+            for N, acc in enumerate(sums) for k, c in acc.items() if c)
 
 
 def _spread(table: VarTable, n: int, D: int, values) -> LaurentPoly:
@@ -301,18 +316,24 @@ def check_derivative_relation(h, n: int, D: int, primed: bool,
                               route: str = "residue"):
     """Linear-slice check: the part of the (n+1)-variable series exactly
     linear in the last variable, with that variable divided out, must equal
-    the concomitant series in n variables through total degree D-1."""
+    the concomitant series in n variables through total degree D-1.
+
+    The (n+1)-variable series is never spread: the orderings of a sorted
+    alpha that put a 1 last are exactly the orderings of alpha less one of
+    its parts 1, so the slice is the spread over n variables of the sorted
+    values (`_sorted_series`) whose alpha has a part 1, with one such 1
+    dropped; what is left is still sorted."""
     h = as_hook(h)
+    if n < 1:
+        raise ValueError(f"derivative check needs n >= 1 variables, got n={n}")
     if D < 1:
         raise ValueError(f"derivative check needs degree >= 1, got {D}")
-    big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route=route)
-    # the terms with t_{n+1}^1, keyed by their low n fields: the same
-    # exponents of t_1..t_n packed in the n-variable table
-    low = (1 << VarTable.WIDTH * n) - 1
-    lin = LaurentPoly._from_packed(
-        series_table(n, 0),
-        {key & low: c for key, c in big.table.clip(big._packed, n, 1, 1).items()},
-        big.reach)
+    values = _sorted_series("prime" if primed else "plain", h, n + 1, 0, D,
+                            route)
+    # the parts 1 of a sorted alpha are adjacent: any one may be dropped
+    lin = _spread(series_table(n, 0), n, D - 1, (
+        (a[:i] + a[i + 1:], c) for a, c in values if 1 in a
+        for i in (a.index(1),)))
     bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
     ok = lin == bar
     return ok, {"hook": [h.k, h.l], "n": n, "degree": D, "primed": primed,

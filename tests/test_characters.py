@@ -266,6 +266,27 @@ def test_conjugate_hook_weights_served_from_one_entry(monkeypatch):
     assert len(default_cache().weights) == 11
 
 
+def test_class_weights_hold_no_zero():
+    # the jump difference drops its zeros; the plain table and the bar
+    # re-key, m_1(rho + 1) W(rho + 1), hold none to drop
+    for h in WEIGHT_HOOKS:
+        for mode in ("plain", "prime", "bar", "bar_prime"):
+            for N in range(12):
+                assert 0 not in class_weights(mode, h, N).values(), (h, mode, N)
+
+
+def test_plain_class_weights_are_the_memo_entry():
+    # where V is w_h itself nothing is copied: a jump with no smaller hook
+    # is the plain weight too
+    _clear_default_cache()
+    for h in WEIGHT_HOOKS:
+        for N in range(9):
+            weights = _hook_weights(N, h)
+            assert class_weights("plain", h, N) is weights, (h, N)
+            if min(h.k, h.l) == 0:
+                assert class_weights("prime", h, N) is weights, (h, N)
+
+
 def test_class_sizes_computed_once_per_class(monkeypatch):
     # every hook of WEIGHT_HOOKS weighs the classes of S_0..S_12: each
     # class size is computed once and read from the memo after that

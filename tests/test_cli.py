@@ -10,6 +10,7 @@ import pytest
 import superschur
 from superschur import cli
 from superschur.cli import _parse_hook, _parse_hooks, build_parser, main
+from superschur.laurent import LaurentPoly
 from superschur.partitions import Hook
 
 
@@ -84,6 +85,24 @@ def test_series_csv_multivariate():
     code, text = run_cli(*argv, "text")
     assert code == 0
     assert text == "2 * t1^2 + 2 * t1^1 u1^1 + 1 * t1^1 + 1 * u1^1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_series_sorts_terms_once(fmt, monkeypatch):
+    # a series of two or more variables is sorted once, whatever the format
+    calls = []
+    sorted_terms = LaurentPoly.sorted_terms
+
+    def counted(self):
+        calls.append(self)
+        return sorted_terms(self)
+
+    monkeypatch.setattr(LaurentPoly, "sorted_terms", counted)
+    code, text = run_cli("series", "--mode", "prime", "--hook", "1,1", "--n", "1",
+                         "--m", "1", "--degree", "2", "--route", "char",
+                         "--format", fmt)
+    assert code == 0 and text
+    assert len(calls) == 1, fmt
 
 
 def test_verify_budzik_passes():

@@ -463,15 +463,48 @@ def _tuple_slice(big, n):
 
 
 def test_linear_slice_equals_tuple_slice():
-    for h, n, D in (((2, 2), 1, 10), ((2, 1), 2, 9), ((1, 1), 3, 8)):
+    for (h, n, D), primed, route in product(
+            (((2, 2), 1, 10), ((2, 1), 2, 9), ((1, 1), 3, 8)), (False, True), ROUTES):
+        ok, report = check_derivative_relation(h, n, D, primed, route=route)
+        big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route=route)
+        bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
+        lin = _tuple_slice(big, n)
+        assert not lin.is_zero()
+        assert report["linear_slice"] == str(lin), (h, n, D, primed, route)
+        assert ok == (lin == bar) and ok, (h, n, D, primed, route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_derivative_check_spreads_no_series_of_n_plus_one_variables(route, monkeypatch):
+    # the slice is taken from the sorted values: only n-variable tables
+    # are spread, the slice and the concomitant series
+    widths = []
+    spread = poincare._spread
+
+    def counted(table, n, D, values):
+        widths.append(len(table))
+        return spread(table, n, D, values)
+
+    monkeypatch.setattr(poincare, "_spread", counted)
+    for h, n, D in (((2, 2), 1, 10), ((2, 1), 2, 8)):
         for primed in (False, True):
-            ok, report = check_derivative_relation(h, n, D, primed, route="char")
-            big = p_series("prime" if primed else "plain", h, n + 1, 0, D, route="char")
-            bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route="char")
-            lin = _tuple_slice(big, n)
-            assert not lin.is_zero()
-            assert report["linear_slice"] == str(lin), (h, n, D, primed)
-            assert ok == (lin == bar) and ok, (h, n, D, primed)
+            widths.clear()
+            ok, _ = check_derivative_relation(h, n, D, primed, route=route)
+            assert ok and widths == [n, n], (h, n, D, primed, widths)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2])
+@pytest.mark.parametrize("route", ROUTES)
+def test_derivative_check_rejects_n_below_one(n, route, monkeypatch):
+    # refused by name before any series is built
+    def refuse(*args):
+        raise AssertionError("series built")
+
+    monkeypatch.setattr(poincare, "_class_sums", refuse)
+    monkeypatch.setattr(poincare, "cauchy_pairing", refuse)
+    for primed in (False, True):
+        with pytest.raises(ValueError, match=f"n >= 1.*n={n}"):
+            check_derivative_relation((2, 2), n, 6, primed, route=route)
 
 
 def _cold():
