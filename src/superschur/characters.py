@@ -38,7 +38,8 @@ from itertools import repeat
 from math import factorial
 
 from .laurent import VarTable, exact_quotient
-from .partitions import Hook, Partition, as_hook, conjugate, partitions_of
+from .partitions import (Hook, Partition, as_hook, check_partition, conjugate,
+                         partitions_of)
 
 
 class _Memo:
@@ -273,8 +274,10 @@ def class_weights(mode: str, h: Hook, N: int) -> dict:
 
 def char_multiplicity(mode: str, lam: Partition, h) -> int:
     """The multiplicity of lam that `mode` names, as a character sum:
-    (1/(|lam| + b)!) sum_rho chi^lam(rho) V(rho) with V = `class_weights`."""
-    lam = tuple(lam)
+    (1/(|lam| + b)!) sum_rho chi^lam(rho) V(rho) with V = `class_weights`.
+    Zero parts of lam are dropped; ValueError naming lam if the rest is
+    not a partition."""
+    lam = check_partition(p for p in lam if p)
     N = sum(lam)
     mask = _mask(lam)
     total = sum(_column(rho).get(mask, 0) * v

@@ -10,15 +10,16 @@ product adds two ints per term pair instead of zipping tuples.  Every
 polynomial carries `reach`, a bound on |e_i| over its terms; a product
 whose bound could pass `VarTable.LIMIT` raises before it is formed, so a
 carry into the next field can never happen.  The public API speaks
-tuples: constructors take tuple-keyed mappings and `.terms` is a
-read-only tuple-keyed view.
+tuples: constructors take tuple-keyed mappings, and `.terms` is a
+read-only tuple-keyed mapping (`types.MappingProxyType`) built when read.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from itertools import compress
+from types import MappingProxyType
 from typing import Iterable
 
 
@@ -105,43 +106,6 @@ class VarTable:
         return {key: c for key, c in packed.items() if lo <= (key >> shift) & mask <= hi}
 
 
-class _Terms(Mapping):
-    """Read-only tuple-keyed view of a polynomial's packed terms."""
-
-    __slots__ = ("_table", "_packed")
-
-    def __init__(self, table: VarTable, packed: dict):
-        self._table = table
-        self._packed = packed
-
-    def __getitem__(self, exps) -> int:
-        try:
-            return self._packed[self._table.pack(exps)]
-        except (TypeError, ValueError):
-            raise KeyError(exps) from None
-
-    def __iter__(self):
-        return map(self._table.unpack, self._packed)
-
-    def __len__(self) -> int:
-        return len(self._packed)
-
-    def items(self):
-        return _TermItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-class _TermItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        unpack = self._mapping._table.unpack
-        for key, c in self._mapping._packed.items():
-            yield unpack(key), c
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial: map from exponent tuples to nonzero ints.
 
@@ -175,7 +139,9 @@ class LaurentPoly:
 
     @property
     def terms(self) -> Mapping[tuple, int]:
-        return _Terms(self.table, self._packed)
+        """Read-only {exponent tuple: coefficient} mapping, built when read."""
+        unpack = self.table.unpack
+        return MappingProxyType({unpack(key): c for key, c in self._packed.items()})
 
     # -- constructors ------------------------------------------------
 
@@ -203,7 +169,12 @@ class LaurentPoly:
         return not self._packed
 
     def coefficient(self, exps: tuple) -> int:
-        return self.terms.get(tuple(exps), 0)
+        """One packed lookup; 0 for exponents no term can have: the wrong
+        length, past `VarTable.LIMIT`, or not integers."""
+        try:
+            return self._packed.get(self.table.pack(tuple(exps)), 0)
+        except (TypeError, ValueError):
+            return 0
 
     def single_term(self) -> tuple[int, tuple]:
         """(coeff, exps) of the unique term; raises if not a monomial."""
@@ -353,7 +324,8 @@ class LaurentPoly:
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in descending graded-lexicographic order (deterministic)."""
-        return sorted(self.terms.items(),
+        unpack = self.table.unpack
+        return sorted(((unpack(key), c) for key, c in self._packed.items()),
                       key=lambda item: (sum(item[0]), item[0]),
                       reverse=True)
 

@@ -46,11 +46,15 @@ def series_table(n: int, m: int) -> VarTable:
                     + [f"u{j}" for j in range(1, m + 1)])
 
 
-def _check_choice(mode: str, route: str) -> None:
+def _is_char_sum(mode: str, route: str) -> bool:
+    """The one route rule, after checking both choices: `plain` and `bar`,
+    and every mode on the "char" route, are character sums; `prime` and
+    `bar_prime` on the "residue" route are residue integrals."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    return mode in ("plain", "bar") or route == "char"
 
 
 def multiplicity(mode: str, lam: Partition, h, route: str = "residue") -> int:
@@ -61,9 +65,9 @@ def multiplicity(mode: str, lam: Partition, h, route: str = "residue") -> int:
     "residue" is the constant-term integral, "char" the character sum.
     Every character sum is `characters.char_multiplicity`.
     """
-    _check_choice(mode, route)
+    char = _is_char_sum(mode, route)
     h = as_hook(h)
-    if mode in ("plain", "bar") or route == "char":
+    if char:
         return char_multiplicity(mode, lam, h)
     return m_prime_residue(lam, h) if mode == "prime" \
         else m_bar_prime_residue(lam, h)
@@ -87,15 +91,14 @@ def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str):
     descending within the T block (the first n) and the U block, as
     (exponents, value) over the nonzero values.
 
-    `plain` and `bar`, and every mode on the "char" route, are character
-    sums and are assembled by power sums from the mode's one class
-    function (`_frobenius_series`).  `prime` and `bar_prime` on the
-    "residue" route take one integral per sorted monomial of T and of U by
-    the Cauchy pairing (`residue.cauchy_pairing`), with no term per lam.
+    The character sums (`_is_char_sum`) are assembled by power sums from
+    the mode's one class function (`_frobenius_series`).  The residue
+    jumps take one integral per sorted monomial of T and of U by the
+    Cauchy pairing (`residue.cauchy_pairing`), with no term per lam.
     The arguments are checked before anything is built.
     """
     h = as_hook(h)
-    _check_choice(mode, route)
+    char = _is_char_sum(mode, route)
     if n < 0 or m < 0:
         raise ValueError("series variable counts must be nonnegative, "
                          f"got n={n}, m={m}")
@@ -106,7 +109,7 @@ def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str):
     if D > VarTable.LIMIT:
         raise ValueError(f"truncation degree {D} is past the packing limit "
                          f"{VarTable.LIMIT}")
-    if route == "char" or mode in ("plain", "bar"):
+    if char:
         return _frobenius_series(mode, h, n, n + m, D)
     return cauchy_pairing(h, n, m, D, mode == "bar_prime")
 

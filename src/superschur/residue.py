@@ -47,7 +47,7 @@ from math import factorial
 
 from .hookschur import Alphabet, graded_homs, hook_schur_eval
 from .laurent import LaurentPoly, VarTable, exact_quotient
-from .partitions import Hook, Partition, as_hook
+from .partitions import Hook, Partition, as_hook, check_partition
 
 def residue_table(h) -> VarTable:
     h = as_hook(h)
@@ -275,7 +275,9 @@ def _jump(lam: Partition, h, bar: bool) -> int:
     """(k! l!)^-1 sum_e HS_lam(Z0;Z1)_e kernel[e], with the kernel (times
     the bar factor when `bar`) cut at `_hs_top` and fetched first: an
     empty one makes the value 0, so neither HS_lam nor the Z alphabets
-    are built unless some entry can read them."""
+    are built unless some entry can read them.  Zero parts of lam are
+    dropped; ValueError naming lam if the rest is not a partition."""
+    lam = check_partition(p for p in lam if p)
     h = as_hook(h)
     kern = _kernel(residue_table(h), h, _hs_top(lam, h), bar)
     return _over_k_l(_dot(hs_on_z(lam, h)._packed, kern), h) if kern else 0

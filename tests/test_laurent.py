@@ -36,6 +36,14 @@ def test_coefficient_examples():
     assert f.coefficient((0, 0)) == 2
     assert f.coefficient((-1, 0)) == 1
     assert LaurentPoly.zero(TABLE2).coefficient((3, 3)) == 0
+    # exponents no term can have read 0: past the limit, the wrong length,
+    # not integers
+    edge = VarTable.LIMIT
+    g = f + LaurentPoly.monomial(TABLE2, 3, (edge, -edge))
+    for exps in [(edge + 1, 0), (0, -edge - 1), (), (1,), (1, 0, 0),
+                 (1.0, 0), (0, 0.5), ("1", 0), (None, 0)]:
+        assert g.coefficient(exps) == 0, exps
+    assert g.coefficient([1, 0]) == 1 and g.coefficient((edge, -edge)) == 3
 
 
 def test_degree_range():

@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import permutations, product
 
@@ -80,6 +81,25 @@ def test_multiplicity_rejects_bad_choice():
     # plain and bar read no route, but a bad one is still refused
     with pytest.raises(ValueError, match="'typo'"):
         multiplicity("plain", (1,), (1, 1), route="typo")
+
+
+def _per_lambda_entry_points():
+    yield from (m_lambda, m_bar_lambda, m_prime_residue, m_bar_prime_residue)
+    for mode in MODES:
+        for route in ROUTES:
+            yield lambda lam, h, mode=mode, route=route: multiplicity(
+                mode, lam, h, route=route)
+
+
+def test_per_lambda_multiplicities_reject_non_partitions():
+    # both cores (the class sum and the residue jump) drop zero parts and
+    # refuse the rest by name, so the two routes agree on every input
+    for f in _per_lambda_entry_points():
+        for bad in [(1, 2), (2, -1), (2.0, 1)]:
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                f(bad, (1, 1))
+        want = f((2, 1), (1, 1))
+        assert f((2, 1, 0), (1, 1)) == want and f([2, 1], (1, 1)) == want
 
 
 def test_lemmas_suite_rows():
@@ -188,6 +208,22 @@ def test_p_series_rejects_bad_arguments():
     for route in ROUTES:
         with pytest.raises(ValueError, match="40000 is past the packing limit 32767"):
             p_series("prime", (1, 1), 1, 0, 40000, route=route)
+
+
+def test_univariate_coefficients_read_no_terms_mapping(monkeypatch):
+    # one packed lookup per degree: the tuple-keyed mapping is never built,
+    # and degrees past the packing limit read 0
+    D = 12
+    series = p_series("prime", (2, 1), 1, 0, D, route="char")
+    want = [series.terms.get((d,), 0) for d in range(D + 1)]
+    assert any(want)
+
+    def refuse(self):
+        raise AssertionError("univariate_coefficients read LaurentPoly.terms")
+    monkeypatch.setattr(LaurentPoly, "terms", property(refuse))
+    assert univariate_coefficients(series, D) == want
+    past = univariate_coefficients(series, VarTable.LIMIT + 2)
+    assert past[:D + 1] == want and not any(past[D + 1:])
 
 
 def test_univariate_coefficients_rejects_multivariate():
