@@ -128,11 +128,14 @@ def _strip_row(mask: int, r: int) -> tuple:
 def mn_character(lam: Partition, rho: Partition) -> int:
     """chi^lam evaluated at the class of cycle type rho, exactly: one
     lookup in the memoised column of rho.  Zero parts of lam or rho are
-    ignored."""
+    ignored, and rho may come in any order; ValueError naming lam or rho
+    if the rest is not a partition."""
+    if not all(isinstance(r, int) and r >= 0 for r in rho):
+        raise ValueError(f"cycle lengths must be nonnegative integers: {rho}")
     if sum(lam) != sum(rho):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
     cycles = tuple(sorted((r for r in rho if r), reverse=True))
-    return _column(cycles).get(_mask(lam), 0)
+    return _column(cycles).get(_mask(check_partition(p for p in lam if p)), 0)
 
 
 def class_size(rho: Partition) -> int:
@@ -147,15 +150,17 @@ def class_size(rho: Partition) -> int:
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Kronecker coefficient: multiplicity of chi^lam in chi^mu (x) chi^nu."""
-    n = sum(lam)
-    if sum(mu) != n or sum(nu) != n:
+    """Kronecker coefficient: multiplicity of chi^lam in chi^mu (x) chi^nu.
+    Zero parts are ignored; ValueError naming lam, mu or nu if the rest is
+    not a partition."""
+    key = tuple(check_partition(p for p in s if p) for s in (lam, mu, nu))
+    n = sum(key[0])
+    if sum(key[1]) != n or sum(key[2]) != n:
         raise ValueError("partitions must have equal size")
-    key = (tuple(lam), tuple(mu), tuple(nu))
     hit = _MEMO.kron.get(key)
     if hit is not None:
         return hit
-    masks = (_mask(lam), _mask(mu), _mask(nu))
+    masks = tuple(map(_mask, key))
     total = 0
     for rho in partitions_of(n):
         col = _column(rho)

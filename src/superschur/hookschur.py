@@ -9,7 +9,9 @@ floor for the Cauchy pairing of `residue`.  Three routes check the
 evaluation and share none of its code: the definitional one, which
 enumerates the (k, l)-semistandard tableaux of Berele and Regev; the
 Jozefiak-Pragacz symmetrized rational sum; and the factorization formula
-for typical shapes, whose Schur factors are tableau sums too.
+for typical shapes, whose Schur factors are tableau sums too.  Each
+drops the zero parts of a shape and refuses by name one that is not then
+a partition.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
-from .partitions import Hook, Partition, as_hook, conjugate, part, typical_split
+from .partitions import (Hook, Partition, as_hook, check_partition, conjugate,
+                         part, typical_split)
 
 
 class Alphabet:
@@ -54,14 +57,6 @@ class Alphabet:
             monos.append((1, tuple(e)))
         return cls(table, monos)
 
-    @classmethod
-    def from_polys(cls, table: VarTable, polys: Sequence[LaurentPoly]) -> "Alphabet":
-        monos = []
-        for p in polys:
-            c, e = p.single_term()
-            monos.append((c, e))
-        return cls(table, monos)
-
     def __len__(self) -> int:
         return len(self.monos)
 
@@ -71,11 +66,6 @@ class Alphabet:
 
     def __hash__(self) -> int:
         return hash((self.table, self.monos))
-
-    def union(self, other: "Alphabet") -> "Alphabet":
-        if self.table != other.table:
-            raise ValueError("variable table mismatch")
-        return Alphabet(self.table, self.monos + other.monos)
 
     def entry(self, i: int) -> LaurentPoly:
         c, e = self.monos[i]
@@ -220,6 +210,7 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
+    lam = check_partition(p for p in lam if p)
     if lam and len(lam) > lam[0]:
         return hook_schur_eval(conjugate(lam), Y, X)
     return _jacobi_trudi(lam, X, Y)
@@ -241,6 +232,7 @@ def _tableaux(lam: Partition, mu: Partition, X: Alphabet,
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
+    lam, mu = (check_partition(p for p in shape if p) for shape in (lam, mu))
     if any(part(mu, i) > part(lam, i) for i in range(1, len(mu) + 1)):
         raise ValueError(f"{mu} is not contained in {lam}")
     letters = X.monos + Y.monos
@@ -286,6 +278,7 @@ def f_lambda(lam: Partition, h, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """Product of (x_i + y_j) over the boxes of lam, with variables beyond
     the hook reading as zero."""
     h = as_hook(h)
+    lam = check_partition(p for p in lam if p)
     if len(X) != h.k or len(Y) != h.l:
         raise ValueError("alphabet sizes must match the hook")
     table = X.table
@@ -360,7 +353,7 @@ def hook_schur_factorized(lam: Partition, h, X: Alphabet, Y: Alphabet) -> Lauren
     """Factorization route for typical shapes: the full rectangle product
     times s_mu(X) s_nu(Y)."""
     h = as_hook(h)
-    mu, nu = typical_split(lam, h)
+    mu, nu = typical_split(check_partition(p for p in lam if p), h)
     if len(X) != h.k or len(Y) != h.l:
         raise ValueError("alphabet sizes must match the hook")
     result = schur_by_tableaux(mu, X) * schur_by_tableaux(nu, Y)

@@ -176,13 +176,6 @@ class LaurentPoly:
         except (TypeError, ValueError):
             return 0
 
-    def single_term(self) -> tuple[int, tuple]:
-        """(coeff, exps) of the unique term; raises if not a monomial."""
-        if len(self._packed) != 1:
-            raise ValueError("not a monomial")
-        ((key, c),) = self._packed.items()
-        return c, self.table.unpack(key)
-
     def degree_range(self, var: str) -> tuple[int, int]:
         """(min, max) exponent of `var` over all terms; rejects zero."""
         if not self._packed:
@@ -305,20 +298,6 @@ class LaurentPoly:
         return LaurentPoly._from_packed(
             self.table, {twice_zero - key: c for key, c in self._packed.items()},
             self.reach)
-
-    def truncate(self, max_degree: int, var_names=None) -> "LaurentPoly":
-        """Drop terms whose exponent sum over `var_names` exceeds max_degree.
-
-        Intended for power-series work with nonnegative exponents.
-        """
-        if var_names is None:
-            idx = range(len(self.table))
-        else:
-            idx = [self.table.index(v) for v in var_names]
-        return LaurentPoly(self.table, {
-            e: c for e, c in self.terms.items()
-            if sum(e[i] for i in idx) <= max_degree
-        })
 
     # -- serialization -----------------------------------------------
 

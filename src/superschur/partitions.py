@@ -101,10 +101,6 @@ def parse_partition(text: str) -> Partition:
     return check_partition(int(p) for p in text.split(","))
 
 
-def format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam)
-
-
 def part(lam: Partition, i: int) -> int:
     """1-indexed part, 0 beyond the length."""
     return lam[i - 1] if 1 <= i <= len(lam) else 0

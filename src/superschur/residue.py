@@ -260,7 +260,7 @@ def _z_alphabets(h: Hook) -> tuple[VarTable, Alphabet, Alphabet]:
 
 def hs_on_z(lam: Partition, h) -> LaurentPoly:
     """HS_lam(Z0;Z1) as a Laurent polynomial in the hook's variables."""
-    return hook_schur_eval(tuple(lam), *z_alphabets(h)[1:])
+    return hook_schur_eval(lam, *z_alphabets(h)[1:])
 
 
 def _hs_top(lam: Partition, h: Hook) -> int:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -350,6 +351,23 @@ def test_non_integer_hook_rejected_cold_and_warm(lam, h, call):
 def test_character_size_mismatch_rejected():
     with pytest.raises(ValueError):
         mn_character((2, 1), (2, 2))
+
+
+def test_characters_and_kronecker_reject_non_partitions():
+    # zero parts are ignored and rho may come in any order; the rest must
+    # be a partition, refused by name as given
+    for bad in [(1, 2), (2, -1, 2), (2.0, 1)]:
+        for call in [lambda: mn_character(bad, (2, 1)),
+                     lambda: kronecker(bad, (2, 1), (2, 1)),
+                     lambda: kronecker((2, 1), (2, 1), bad)]:
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                call()
+    for bad in [(2, -1, 2), (2.0, 1)]:
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            mn_character((2, 1), bad)
+    assert mn_character((2, 1, 0), (1, 0, 2)) == mn_character((2, 1), (2, 1))
+    assert (kronecker((2, 1, 0), (1, 1, 1), (2, 0, 1))
+            == kronecker((2, 1), (1, 1, 1), (2, 1)) == 1)
 
 
 def test_class_sizes():

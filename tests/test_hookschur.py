@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import (combinations, combinations_with_replacement, islice,
                        permutations)
 
@@ -70,6 +71,26 @@ def test_skew_schur_rejects_non_subshape():
     for lam, mu in [((2, 1), (1, 1, 1)), ((1,), (2,))]:
         with pytest.raises(ValueError, match="is not contained in"):
             skew_schur_by_tableaux(lam, mu, X22)
+
+
+@pytest.mark.parametrize("formula", [
+    hook_schur_eval, hook_schur_def, hook_schur_jp,
+    lambda lam, X, Y: hook_schur_factorized(lam, (2, 1), X, Y)],
+    ids=["eval", "def", "jp", "factorized"])
+def test_hook_schur_formulas_reject_non_partitions(formula):
+    # each formula drops zero parts and refuses the rest by name, so the
+    # four agree on every input
+    for bad in [(1, 2), (2, -1), (2.0, 1)]:
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            formula(bad, X21, Y21)
+    assert formula((2, 0, 1), X21, Y21) == formula((2, 1), X21, Y21)
+
+
+def test_skew_schur_rejects_non_partition_inner_shape():
+    with pytest.raises(ValueError, match=re.escape("(2, -1)")):
+        skew_schur_by_tableaux((3, 1), (2, -1), X22)
+    assert (skew_schur_by_tableaux((3, 1, 0), (1, 0), X22)
+            == skew_schur_by_tableaux((3, 1), (1,), X22))
 
 
 def test_factorization_2_1_example():
@@ -174,20 +195,28 @@ def test_cauchy_like_product_alphabets():
     # HS over a union alphabet expands by the coproduct at a single box
     X = Alphabet.symbols(T22, ["x1"])
     Xb = Alphabet.symbols(T22, ["x2"])
-    lhs = hook_schur_eval((1,), X.union(Xb), Y22)
+    lhs = hook_schur_eval((1,), Alphabet(T22, X.monos + Xb.monos), Y22)
     assert lhs == hook_schur_eval((1,), X, Y22) + Xb.sum_poly()
 
 
 def test_monomial_alphabet_entries():
     # alphabets may carry signed Laurent monomials, not just symbols
     t = VarTable(["a", "b"])
-    A = Alphabet.from_polys(t, [LaurentPoly.monomial(t, 1, (1, -1)),
-                                LaurentPoly.monomial(t, 1, (-1, 1))])
+    A = Alphabet(t, [(1, (1, -1)), (1, (-1, 1))])
     B = Alphabet.empty(t)
     # s_(2) = h_2 = a^2 b^-2 + 1 + a^-2 b^2
     expected = (LaurentPoly.monomial(t, 1, (2, -2)) + LaurentPoly.const(t, 1)
                 + LaurentPoly.monomial(t, 1, (-2, 2)))
     assert hook_schur_eval((2,), A, B) == expected
+
+
+@pytest.mark.parametrize("monos, match", [
+    ([(2, (1, 0))], "signed unit monomials"),
+    ([(1, (1,))], "length does not match"),
+    ([(1, (1, 0, 0))], "length does not match")])
+def test_alphabet_rejects_non_unit_or_misfit_entries(monos, match):
+    with pytest.raises(ValueError, match=match):
+        Alphabet(VarTable(["a", "b"]), monos)
 
 
 def test_super_hom_sequence_on_signed_alphabets():

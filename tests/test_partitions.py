@@ -5,9 +5,9 @@ from hypothesis import given
 
 from superschur.partitions import (Hook, HookClass, add_box_successors,
                                    classify_hook, conjugate,
-                                   enumerate_partitions, format_partition,
-                                   is_self_conjugate, parse_partition,
-                                   square_split, typical_split)
+                                   enumerate_partitions, is_self_conjugate,
+                                   parse_partition, square_split,
+                                   typical_split)
 
 from conftest import partitions
 
@@ -165,7 +165,6 @@ def test_square_split_correspondence():
 def test_parse_format_roundtrip():
     for text, lam in [("3,2,1", (3, 2, 1)), ("", ()), ("∅", ()), ("5", (5,))]:
         assert parse_partition(text) == lam
-    assert format_partition((3, 2, 1)) == "3,2,1"
     with pytest.raises(ValueError):
         parse_partition("1,2")
     with pytest.raises(ValueError):
