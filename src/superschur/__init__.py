@@ -10,7 +10,7 @@ from .laurent import InexactError, LaurentPoly, VarTable, divide_exact
 from .partitions import (Hook, HookClass, Partition, add_box_successors,
                          classify_hook, conjugate, enumerate_partitions,
                          is_self_conjugate, is_typical, parse_partition,
-                         square_split, typical_split)
+                         typical_split)
 from .poincare import (budzik_suite, check_derivative_relation, lemmas_suite,
                        multiplicity, p_series, univariate_coefficients,
                        verify_budzik)

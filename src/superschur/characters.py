@@ -125,28 +125,38 @@ def _strip_row(mask: int, r: int) -> tuple:
     return tuple(plus), tuple(minus)
 
 
+def _cycle_type(rho) -> Partition:
+    """rho's nonzero parts, descending; ValueError naming rho unless every
+    part is a nonnegative integer."""
+    if not all(isinstance(r, int) and r >= 0 for r in rho):
+        raise ValueError(f"cycle lengths must be nonnegative integers: {rho}")
+    return tuple(sorted((r for r in rho if r), reverse=True))
+
+
 def mn_character(lam: Partition, rho: Partition) -> int:
     """chi^lam evaluated at the class of cycle type rho, exactly: one
     lookup in the memoised column of rho.  Zero parts of lam or rho are
     ignored, and rho may come in any order; ValueError naming lam or rho
     if the rest is not a partition."""
-    if not all(isinstance(r, int) and r >= 0 for r in rho):
-        raise ValueError(f"cycle lengths must be nonnegative integers: {rho}")
-    if sum(lam) != sum(rho):
+    cycles = _cycle_type(rho)
+    if sum(lam) != sum(cycles):
         raise ValueError(f"size mismatch: |{lam}| != |{rho}|")
-    cycles = tuple(sorted((r for r in rho if r), reverse=True))
     return _column(cycles).get(_mask(check_partition(p for p in lam if p)), 0)
 
 
 def class_size(rho: Partition) -> int:
     """Conjugacy class size in S_n for cycle type rho: n!/prod(i^a_i a_i!).
-    Zero parts of rho are ignored."""
-    n = sum(rho)
+    rho is read, or refused by name, as by `mn_character`."""
+    return _class_size(_cycle_type(rho))
+
+
+def _class_size(rho: Partition) -> int:
+    """n!/prod(i^a_i a_i!) for a partition rho of n, taken as given."""
     denom = 1
-    for i in set(rho) - {0}:
+    for i in set(rho):
         a = rho.count(i)
         denom *= i ** a * factorial(a)
-    return factorial(n) // denom
+    return factorial(sum(rho)) // denom
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -165,7 +175,7 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     for rho in partitions_of(n):
         col = _column(rho)
         a, b, c = (col.get(m, 0) for m in masks)
-        total += class_size(rho) * a * b * c
+        total += _class_size(rho) * a * b * c
     g = exact_quotient(total, factorial(n), "class sum for a Kronecker coefficient")
     _MEMO.kron[key] = g
     return g
@@ -240,7 +250,7 @@ def _hook_weights(n: int, h: Hook) -> dict:
                 if minus:
                     c -= sum(map(get, minus, _ZEROS))
                 w += m * c * c
-            w *= sizes.get(rho) or sizes.setdefault(rho, class_size(rho))
+            w *= sizes.get(rho) or sizes.setdefault(rho, _class_size(rho))
         if complement:
             w = full - w
         if w:

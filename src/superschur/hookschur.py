@@ -22,8 +22,8 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
-from .partitions import (Hook, Partition, as_hook, check_partition, conjugate,
-                         part, typical_split)
+from .partitions import (Partition, check_partition, conjugate, part,
+                         typical_split)
 
 
 class Alphabet:
@@ -39,8 +39,7 @@ class Alphabet:
         for coeff, exps in monos:
             if coeff not in (1, -1):
                 raise ValueError("alphabet entries must be signed unit monomials")
-            if len(exps) != len(table):
-                raise ValueError("exponent vector length does not match table")
+            table.pack(exps)
         self.table = table
         self.monos = tuple((c, tuple(e)) for c, e in monos)
 
@@ -274,21 +273,18 @@ def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
 
 # -- the other two hook-Schur formulas ------------------------------------
 
-def f_lambda(lam: Partition, h, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+def f_lambda(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """Product of (x_i + y_j) over the boxes of lam, with variables beyond
-    the hook reading as zero."""
-    h = as_hook(h)
+    the hook (|X|, |Y|) reading as zero."""
     lam = check_partition(p for p in lam if p)
-    if len(X) != h.k or len(Y) != h.l:
-        raise ValueError("alphabet sizes must match the hook")
     table = X.table
     result = LaurentPoly.const(table, 1)
     for i in range(1, len(lam) + 1):
         for j in range(1, lam[i - 1] + 1):
             factor = LaurentPoly.zero(table)
-            if i <= h.k:
+            if i <= len(X):
                 factor = factor + X.entry(i - 1)
-            if j <= h.l:
+            if j <= len(Y):
                 factor = factor + Y.entry(j - 1)
             if factor.is_zero():
                 return LaurentPoly.zero(table)
@@ -327,13 +323,12 @@ def hook_schur_jp(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     ynames = _plain_names(Y)
     if set(xnames) & set(ynames):
         raise ValueError("X and Y must be disjoint variable sets")
-    h = Hook(len(X), len(Y))
     numerator = LaurentPoly.zero(table)
-    for sigma in permutations(range(h.k)):
-        for tau in permutations(range(h.l)):
+    for sigma in permutations(range(len(X))):
+        for tau in permutations(range(len(Y))):
             Xs = Alphabet(table, [X.monos[i] for i in sigma])
             Ys = Alphabet(table, [Y.monos[j] for j in tau])
-            term = f_lambda(lam, h, Xs, Ys) * (_sign(sigma) * _sign(tau))
+            term = f_lambda(lam, Xs, Ys) * (_sign(sigma) * _sign(tau))
             for A in (Xs, Ys):
                 for i in range(len(A)):
                     term = term * A.entry(i) ** (len(A) - 1 - i)
@@ -349,15 +344,12 @@ def hook_schur_jp(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     return divide_exact(numerator, vandermonde)
 
 
-def hook_schur_factorized(lam: Partition, h, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Factorization route for typical shapes: the full rectangle product
-    times s_mu(X) s_nu(Y)."""
-    h = as_hook(h)
-    mu, nu = typical_split(check_partition(p for p in lam if p), h)
-    if len(X) != h.k or len(Y) != h.l:
-        raise ValueError("alphabet sizes must match the hook")
+def hook_schur_factorized(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """Factorization route for shapes typical in the hook (|X|, |Y|): the
+    full rectangle product times s_mu(X) s_nu(Y)."""
+    mu, nu = typical_split(check_partition(p for p in lam if p), (len(X), len(Y)))
     result = schur_by_tableaux(mu, X) * schur_by_tableaux(nu, Y)
-    for i in range(h.k):
-        for j in range(h.l):
+    for i in range(len(X)):
+        for j in range(len(Y)):
             result = result * (X.entry(i) + Y.entry(j))
     return result

@@ -78,11 +78,14 @@ class VarTable:
         return f"VarTable({', '.join(self.names)})"
 
     def pack(self, exps) -> int:
-        """The packed key of an exponent vector; ValueError past LIMIT."""
+        """The packed key of an exponent vector; ValueError for a
+        non-integer exponent or one past LIMIT."""
         if len(exps) != len(self.names):
             raise ValueError("exponent vector length does not match table")
         key = self.zero_key
         for i, a in enumerate(exps):
+            if not isinstance(a, int):
+                raise ValueError(f"exponents must be integers: {exps}")
             if abs(a) > self.LIMIT:
                 raise ValueError(f"exponent {a} is past the packing limit {self.LIMIT}")
             key += a << (self.WIDTH * i)

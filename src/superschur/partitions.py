@@ -202,12 +202,3 @@ def typical_split(lam: Partition, h) -> tuple[Partition, Partition]:
     lamc = conjugate(lam)
     nu = tuple(p for p in (part(lamc, j) - h.k for j in range(1, h.l + 1)) if p > 0)
     return mu, nu
-
-
-def square_split(lam: Partition, k: int) -> tuple[Partition, Partition, Partition]:
-    """Cut lam along the k x k square: (lam ^ square, right arm, leg conjugated)."""
-    lam0 = tuple(min(p, k) for p in lam[:k] if min(p, k) > 0)
-    mu = tuple(p - k for p in lam[:k] if p > k)
-    below = lam[k:]
-    nu = conjugate(below)
-    return lam0, mu, nu

@@ -56,12 +56,13 @@ def residue_table(h) -> VarTable:
 
 
 @lru_cache(maxsize=None)
-def delta_numerator(table: VarTable, h) -> LaurentPoly:
+def delta_numerator(h) -> LaurentPoly:
     """Finite part of Delta after the geometric rewrite: the difference
     products times the monomial prefactor prod x_i^-l prod y_j^k.
     Memoised: every kernel rebuilt for a larger top starts from it."""
     h = as_hook(h)
     k, ell = h.k, h.l
+    table = residue_table(h)
     result = LaurentPoly.const(table, 1)
     for block, count in ((0, k), (k, ell)):
         for i in range(count):
@@ -118,7 +119,7 @@ def _x_top(f: LaurentPoly, k: int) -> int:
 
 
 def _check_table(table: VarTable, h) -> None:
-    if len(table) != h.k + h.l:
+    if table != residue_table(h):
         raise ValueError("polynomial table does not match the hook")
 
 
@@ -133,7 +134,7 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
     table = f.table
     _check_table(table, h)
     clip, limit = table.clip, VarTable.LIMIT
-    num = delta_numerator(table, h)
+    num = delta_numerator(h)
     # a term takes at most k slack plus its x-degree steps, each moving
     # one x and one y exponent by one
     reach = f.reach + num.reach
@@ -160,7 +161,7 @@ def constant_term_with_delta(f: LaurentPoly, h, slack: int = 0) -> int:
 _KERNELS: dict = {}
 
 
-def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
+def _kernel(h: Hook, top: int, bar: bool = False) -> dict:
     """Delta's expansion, times the bar factor HS_(1)(Z0;Z1) when `bar`,
     cut to the keys of x-degree <= top, keyed so that f's key e finds
     [x^-e] HS_(1)^bar Delta.  An integrand whose terms have x-degree <= top
@@ -188,9 +189,10 @@ def _kernel(table: VarTable, h, top: int, bar: bool = False) -> dict:
     hit = _KERNELS.get((h, bar))
     if hit is not None and hit[0] >= top:
         return hit[1]
-    num = delta_numerator(table, h)
+    num = delta_numerator(h)
+    table = num.table
     if bar:
-        _, z0, z1 = z_alphabets(h)
+        z0, z1 = z_alphabets(h)
         num = num * Alphabet(table, [z for z in z0.monos + z1.monos
                                      if sum(z[1][:h.k]) >= kl - top]).sum_poly()
     terms = _absorb(num._packed, table, h.k, h.l, top)
@@ -214,7 +216,7 @@ def constant_term_by_kernel(f: LaurentPoly, h) -> int:
     among f's terms."""
     h = as_hook(h)
     _check_table(f.table, h)
-    return _dot(f._packed, _kernel(f.table, h, _x_top(f, h.k)))
+    return _dot(f._packed, _kernel(h, _x_top(f, h.k)))
 
 
 def _over_k_l(total: int, h: Hook) -> int:
@@ -224,13 +226,11 @@ def _over_k_l(total: int, h: Hook) -> int:
 
 def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
     """<f, g> = (k! l!)^-1 CT[f(X;Y) g(X^-1;Y^-1) Delta], by the kernel."""
-    if f.table != g.table:
-        raise ValueError("variable table mismatch")
     h = as_hook(h)
     return _over_k_l(constant_term_by_kernel(f * g.invert_variables(), h), h)
 
 
-def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
+def z_alphabets(h) -> tuple[Alphabet, Alphabet]:
     """The monomial multisets Z0 = X X^-1 u Y Y^-1 (size k^2 + l^2,
     including k + l unit monomials) and Z1 = X Y^-1 u X^-1 Y (size 2kl).
     Built once per hook: (k, l) and Hook(k, l) share one entry."""
@@ -238,7 +238,7 @@ def z_alphabets(h) -> tuple[VarTable, Alphabet, Alphabet]:
 
 
 @lru_cache(maxsize=None)
-def _z_alphabets(h: Hook) -> tuple[VarTable, Alphabet, Alphabet]:
+def _z_alphabets(h: Hook) -> tuple[Alphabet, Alphabet]:
     k, ell = h.k, h.l
     table = residue_table(h)
     n = len(table)
@@ -255,12 +255,12 @@ def _z_alphabets(h: Hook) -> tuple[VarTable, Alphabet, Alphabet]:
     z0 += [mono(k + i, k + j) for i in range(ell) for j in range(ell)]
     z1 = [mono(i, k + j) for i in range(k) for j in range(ell)]
     z1 += [mono(k + j, i) for i in range(k) for j in range(ell)]
-    return table, Alphabet(table, z0), Alphabet(table, z1)
+    return Alphabet(table, z0), Alphabet(table, z1)
 
 
 def hs_on_z(lam: Partition, h) -> LaurentPoly:
     """HS_lam(Z0;Z1) as a Laurent polynomial in the hook's variables."""
-    return hook_schur_eval(lam, *z_alphabets(h)[1:])
+    return hook_schur_eval(lam, *z_alphabets(h))
 
 
 def _hs_top(lam: Partition, h: Hook) -> int:
@@ -279,7 +279,7 @@ def _jump(lam: Partition, h, bar: bool) -> int:
     dropped; ValueError naming lam if the rest is not a partition."""
     lam = check_partition(p for p in lam if p)
     h = as_hook(h)
-    kern = _kernel(residue_table(h), h, _hs_top(lam, h), bar)
+    kern = _kernel(h, _hs_top(lam, h), bar)
     return _over_k_l(_dot(hs_on_z(lam, h)._packed, kern), h) if kern else 0
 
 
@@ -326,14 +326,14 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     kl = h.k * h.l
     need = kl - bar
     top = D if m else min(D, kl * n)
-    kern = _kernel(table, h, top, bar)
+    kern = _kernel(h, top, bar)
     if not kern:
         return
     width = n + m
     # floors: need less kl per other T factor, less D with another U factor
     t_floor = need - kl * (n - 1) - (D if m else 0)
     u_floor = need - kl * n - (D if m > 1 else 0)
-    _, z0, z1 = z_alphabets(h)
+    z0, z1 = z_alphabets(h)
     cols = [list(graded_homs(z0, z1, h.k, t_floor, D)) if n else None,
             list(graded_homs(z1, z0, h.k, u_floor, D)) if m else None]
     zero_key = table.zero_key

@@ -290,20 +290,22 @@ def test_plain_class_weights_are_the_memo_entry():
 
 def test_class_sizes_computed_once_per_class(monkeypatch):
     # every hook of WEIGHT_HOOKS weighs the classes of S_0..S_12: each
-    # class size is computed once and read from the memo after that
+    # class size is computed once, by the unchecked core, and read from
+    # the memo after that
     sized = []
+    core = characters._class_size
 
     def counted(rho):
         sized.append(rho)
-        return class_size(rho)
+        return core(rho)
 
-    monkeypatch.setattr(characters, "class_size", counted)
+    monkeypatch.setattr(characters, "_class_size", counted)
     _clear_default_cache()
     for h in WEIGHT_HOOKS:
         for n in range(13):
             _hook_weights(n, h)
     assert len(sized) == len(set(sized))
-    assert default_cache().sizes == {rho: class_size(rho) for rho in sized}
+    assert default_cache().sizes == {rho: core(rho) for rho in sized}
 
 
 def test_series_weights_store_only_parent_columns():
@@ -355,7 +357,8 @@ def test_character_size_mismatch_rejected():
 
 def test_characters_and_kronecker_reject_non_partitions():
     # zero parts are ignored and rho may come in any order; the rest must
-    # be a partition, refused by name as given
+    # be a partition, refused by name as given, and class_size reads rho
+    # by the same rule
     for bad in [(1, 2), (2, -1, 2), (2.0, 1)]:
         for call in [lambda: mn_character(bad, (2, 1)),
                      lambda: kronecker(bad, (2, 1), (2, 1)),
@@ -363,8 +366,9 @@ def test_characters_and_kronecker_reject_non_partitions():
             with pytest.raises(ValueError, match=re.escape(str(bad))):
                 call()
     for bad in [(2, -1, 2), (2.0, 1)]:
-        with pytest.raises(ValueError, match=re.escape(str(bad))):
-            mn_character((2, 1), bad)
+        for call in [lambda: mn_character((2, 1), bad), lambda: class_size(bad)]:
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                call()
     assert mn_character((2, 1, 0), (1, 0, 2)) == mn_character((2, 1), (2, 1))
     assert (kronecker((2, 1, 0), (1, 1, 1), (2, 0, 1))
             == kronecker((2, 1), (1, 1, 1), (2, 1)) == 1)
@@ -375,7 +379,8 @@ def test_class_sizes():
     assert class_size((3,)) == 2
     assert class_size((2, 1)) == 3
     assert class_size((2, 2, 1)) == 15
-    # zero parts are ignored, as in mn_character
+    # zero parts are ignored and the order is free, as in mn_character
+    assert class_size((1, 2)) == 3
     assert class_size((2, 1, 0)) == 3
     assert class_size((3, 0, 0)) == 2
     assert class_size((0,)) == 1

@@ -56,6 +56,18 @@ def test_series_json_univariate():
     assert json.loads(text) == [0, 1, 2, 3, 4, 5]
 
 
+def test_series_text_univariate():
+    # README's one-variable example: the coefficients by degree on one
+    # line, space-separated, the same list as --format json
+    argv = ["series", "--mode", "prime", "--hook", "2,1", "--n", "1",
+            "--degree", "10"]
+    code, text = run_cli(*argv)
+    code_json, listed = run_cli(*argv, "--format", "json")
+    coeffs = json.loads(listed)
+    assert code == code_json == 0 and len(coeffs) == 11
+    assert text == " ".join(map(str, coeffs)) + "\n"
+
+
 def test_series_csv_univariate():
     code, text = run_cli("series", "--mode", "prime", "--hook", "1,1",
                          "--degree", "3", "--route", "char", "--format", "csv")

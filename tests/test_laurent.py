@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -258,6 +259,15 @@ def test_exponent_past_limit_rejected():
         LaurentPoly.monomial(TABLE2, 1, (edge + 1, 0))
     with pytest.raises(ValueError, match=str(edge)):
         LaurentPoly(TABLE2, {(0, -edge - 1): 1})
+
+
+def test_non_integer_exponent_rejected():
+    # the refusal names the vector; a lookup still reads 0
+    for exps in [(1.5, 0), (0, 1.0), ("1", 0)]:
+        with pytest.raises(ValueError, match=re.escape(str(exps))):
+            TABLE2.pack(exps)
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            LaurentPoly(TABLE2, {exps: 1})
 
 
 def test_unpack_reads_each_field_with_its_sign():

@@ -5,8 +5,7 @@ from hypothesis import given
 
 from superschur.partitions import (Hook, HookClass, add_box_successors,
                                    classify_hook, conjugate,
-                                   enumerate_partitions, is_self_conjugate,
-                                   parse_partition, square_split,
+                                   enumerate_partitions, parse_partition,
                                    typical_split)
 
 from conftest import partitions
@@ -117,49 +116,6 @@ def test_typical_split_size_identity():
             for lam in enumerate_partitions(n, typical=(k, l)):
                 mu, nu = typical_split(lam, (k, l))
                 assert sum(lam) == k * l + sum(mu) + sum(nu)
-
-
-def test_square_split_examples():
-    assert square_split((3, 2, 1), 2) == ((2, 2), (1,), (1,))
-    assert square_split((2, 1), 3) == ((2, 1), (), ())
-
-
-def test_square_split_size_identity():
-    for n in range(9):
-        for lam in enumerate_partitions(n):
-            for k in (1, 2, 3):
-                lam0, mu, nu = square_split(lam, k)
-                assert sum(lam) == sum(lam0) + sum(mu) + sum(nu)
-
-
-def test_square_split_self_conjugate():
-    # symmetry of the split needs the rows below row k to stay within
-    # k columns, i.e. lam inside the (k, k) hook
-    for n in range(11):
-        for lam in enumerate_partitions(n, self_conjugate=True):
-            for k in (1, 2, 3):
-                if len(lam) > k and lam[k] > k:
-                    continue
-                lam0, mu, nu = square_split(lam, k)
-                assert mu == nu
-                assert is_self_conjugate(lam0)
-
-
-def test_square_split_correspondence():
-    # self-conjugate typicals in H(k,l), k >= l, biject with (lam0, mu):
-    # height(mu) <= l and lam0 a self-conjugate partition between
-    # (k^l, l^(k-l)) and the k x k square
-    for k, l in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        seen = set()
-        frame = tuple([k] * l + [l] * (k - l))
-        for n in range(13):
-            for lam in enumerate_partitions(n, typical=(k, l), self_conjugate=True):
-                lam0, mu, nu = square_split(lam, k)
-                assert (lam0, mu) not in seen
-                seen.add((lam0, mu))
-                assert len(mu) <= l
-                assert is_self_conjugate(lam0)
-                assert all(lam0[i] >= frame[i] for i in range(len(frame)))
 
 
 def test_parse_format_roundtrip():

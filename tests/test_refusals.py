@@ -1,0 +1,37 @@
+import re
+
+import pytest
+
+from superschur.characters import kronecker
+from superschur.hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
+                                  hook_schur_jp)
+from superschur.laurent import LaurentPoly, VarTable, divide_exact
+from superschur.partitions import enumerate_partitions
+from superschur.poincare import check_derivative_relation
+
+T1 = VarTable(["x1", "y1"])
+T2 = VarTable(["a", "b"])
+X1, Y1 = Alphabet.symbols(T1, ["x1"]), Alphabet.symbols(T1, ["y1"])
+Y2 = Alphabet.symbols(T2, ["b"])
+P1 = LaurentPoly.variable(T1, "x1")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hook_schur_eval((1,), X1, Y2), ValueError, "alphabet table mismatch"),
+    (lambda: hook_schur_def((1,), X1, Y2), ValueError, "alphabet table mismatch"),
+    (lambda: hook_schur_jp((1,), X1, Y2), ValueError, "alphabet table mismatch"),
+    (lambda: kronecker((2,), (1, 1), (3,)), ValueError,
+     "partitions must have equal size"),
+    (lambda: enumerate_partitions(-1), ValueError, "n must be nonnegative"),
+    (lambda: check_derivative_relation((1, 1), 1, 0, False), ValueError,
+     "needs degree >= 1, got 0"),
+    (lambda: VarTable(["a", "a"]), ValueError, "duplicate variable names"),
+    (lambda: P1 ** -1, ValueError, "exponent must be a nonnegative integer"),
+    (lambda: divide_exact(P1, LaurentPoly.zero(T1)), ZeroDivisionError,
+     "division by zero polynomial"),
+], ids=["eval-tables", "tableaux-tables", "jp-tables", "kronecker-sizes",
+        "negative-size", "derivative-degree-0", "duplicate-names",
+        "negative-power", "divide-by-zero"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
