@@ -66,8 +66,9 @@ def default_cache() -> _Memo:
 
 
 def _mask(lam: Partition) -> int:
-    """Beta-set of lam with |lam| beads, as a bitmask: bead i sits at
-    lam_i + |lam| - i for i = 1..|lam|, the missing parts read as 0.
+    """Beta-set of lam, a partition with no zero part, with |lam| beads,
+    as a bitmask: bead i sits at lam_i + |lam| - i for i = 1..|lam|, the
+    missing parts read as 0.
     ValueError past VarTable.LIMIT, before any shift: no character table
     of S_n that large can be enumerated, and the same limit caps series
     degrees."""
@@ -75,9 +76,8 @@ def _mask(lam: Partition) -> int:
     if n > VarTable.LIMIT:
         raise ValueError(f"partition {lam} has size {n}, past the limit "
                          f"{VarTable.LIMIT} of a character table")
-    parts = [p for p in lam if p]
-    mask = (1 << (n - len(parts))) - 1
-    for i, p in enumerate(parts):
+    mask = (1 << (n - len(lam))) - 1
+    for i, p in enumerate(lam):
         mask |= 1 << (p + n - 1 - i)
     return mask
 

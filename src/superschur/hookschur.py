@@ -1,4 +1,4 @@
-"""Schur, skew Schur, and hook Schur functions on finite monomial alphabets.
+"""Schur and hook Schur functions on finite monomial alphabets.
 
 Evaluation on large monomial alphabets (`hook_schur_eval`) expands the
 generating product of the super complete functions and takes one
@@ -22,8 +22,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
-from .partitions import (Partition, check_partition, conjugate, part,
-                         typical_split)
+from .partitions import Partition, check_partition, conjugate, typical_split
 
 
 class Alphabet:
@@ -217,26 +216,23 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
 
 # -- the definitional route: tableau enumeration -------------------------
 
-def _tableaux(lam: Partition, mu: Partition, X: Alphabet,
-              Y: Alphabet) -> LaurentPoly:
-    """Sum over the (k, l)-semistandard fillings of lam/mu of the product
-    of their letters (Berele-Regev), k = |X| and l = |Y|.
+def _tableaux(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """Sum over the (k, l)-semistandard tableaux of lam of the product of
+    their letters (Berele-Regev), k = |X| and l = |Y|.
 
     Letters 1..k are X's entries and k+1..k+l are Y's; rows and columns
     weakly increase, an x letter does not repeat down a column and a y
     letter does not repeat along a row.  So a cell takes at least
     v + (v > k) after its left neighbour v and above + (above <= k) below
-    its upper neighbour, where 0 stands for a cell of mu or off the shape.
-    With Y empty these are the semistandard tableaux of s_{lam/mu}(X).
+    its upper neighbour, where 0 stands for a cell off the shape.  With Y
+    empty these are the semistandard tableaux of s_lam(X).
     """
     if X.table != Y.table:
         raise ValueError("alphabet table mismatch")
-    lam, mu = (check_partition(p for p in shape if p) for shape in (lam, mu))
-    if any(part(mu, i) > part(lam, i) for i in range(1, len(mu) + 1)):
-        raise ValueError(f"{mu} is not contained in {lam}")
+    lam = check_partition(p for p in lam if p)
     letters = X.monos + Y.monos
     k, n = len(X), len(letters)
-    cells = [(i, j) for i, p in enumerate(lam) for j in range(part(mu, i + 1), p)]
+    cells = [(i, j) for i, p in enumerate(lam) for j in range(p)]
     grid = [[0] * p for p in lam]
     terms: dict[tuple, int] = {}
 
@@ -256,19 +252,14 @@ def _tableaux(lam: Partition, mu: Partition, X: Alphabet,
     return LaurentPoly(X.table, terms)
 
 
-def skew_schur_by_tableaux(lam: Partition, mu: Partition, A: Alphabet) -> LaurentPoly:
-    """s_{lam/mu}(A) by semistandard-filling enumeration."""
-    return _tableaux(lam, mu, A, Alphabet.empty(A.table))
-
-
 def schur_by_tableaux(lam: Partition, A: Alphabet) -> LaurentPoly:
-    return _tableaux(lam, (), A, Alphabet.empty(A.table))
+    return _tableaux(lam, A, Alphabet.empty(A.table))
 
 
 def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     """Definitional route: the sum over the (|X|, |Y|)-semistandard
     tableaux of lam."""
-    return _tableaux(lam, (), X, Y)
+    return _tableaux(lam, X, Y)
 
 
 # -- the other two hook-Schur formulas ------------------------------------

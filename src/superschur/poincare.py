@@ -263,19 +263,10 @@ def verify_budzik(lam: Partition, h) -> dict:
             "pass": ok, "eq_a_lhs": m_direct, "eq_a_rhs": diag}
 
 
-def _budzik_worker(args) -> dict:
-    lam, k, l = args
-    return verify_budzik(tuple(lam), Hook(k, l))
-
-
 def budzik_cases(max_size: int, hooks) -> list[tuple]:
-    cases = []
-    for h in hooks:
-        h = as_hook(h)
-        for d in range(max_size + 1):
-            for lam in enumerate_partitions(d):
-                cases.append((lam, h.k, h.l))
-    return cases
+    """(lam, hook) for every hook and every |lam| <= max_size, in order."""
+    return [(lam, h) for h in map(as_hook, hooks)
+            for d in range(max_size + 1) for lam in enumerate_partitions(d)]
 
 
 def budzik_suite(max_size: int, hooks, jobs: int = 1) -> list[dict]:
@@ -292,8 +283,8 @@ def budzik_suite(max_size: int, hooks, jobs: int = 1) -> list[dict]:
         # would otherwise add to every import of the package
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_budzik_worker, cases))
-    return [_budzik_worker(c) for c in cases]
+            return list(pool.map(verify_budzik, *zip(*cases)))
+    return [verify_budzik(lam, h) for lam, h in cases]
 
 
 def lemmas_suite(max_size: int, hooks, degree: int) -> list[dict]:
@@ -303,11 +294,11 @@ def lemmas_suite(max_size: int, hooks, degree: int) -> list[dict]:
     reports = []
     for h in hooks:
         h = as_hook(h)
-        for lam, k, l in budzik_cases(max_size, (h,)):
+        for lam, _ in budzik_cases(max_size, (h,)):
             lhs = multiplicity("bar_prime", lam, h)
             rhs = multiplicity("bar_prime", lam, h, route="char")
             reports.append({"check": "bar_jump", "lambda": list(lam),
-                            "k": k, "l": l, "lhs": lhs, "rhs": rhs,
+                            "k": h.k, "l": h.l, "lhs": lhs, "rhs": rhs,
                             "pass": lhs == rhs})
         for primed in (False, True):
             _, rep = check_derivative_relation(h, 1, degree, primed)

@@ -13,42 +13,35 @@ Factor = tuple  # (sign: +-1, exponent_a: int, power: +-1) meaning (1 + sign*u^a
 
 
 class TruncatedSeries(FrozenRecord):
-    """Integer power series modulo degree order+1; coefficients exact."""
+    """Integer power series through degree len(coeffs) - 1, held as its
+    exact coefficients; adds, subtracts and indexes them."""
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, var: str, order: int, coeffs: tuple):
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list length must be order + 1")
-        self._set(var=var, order=order, coeffs=coeffs)
+    def __init__(self, coeffs: tuple):
+        self._set(coeffs=coeffs)
 
     @classmethod
-    def zero(cls, var: str, order: int) -> "TruncatedSeries":
-        return cls(var, order, (0,) * (order + 1))
+    def zero(cls, order: int) -> "TruncatedSeries":
+        return cls((0,) * (order + 1))
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
     def _check(self, other: "TruncatedSeries"):
-        if self.var != other.var or self.order != other.order:
-            raise ValueError("series variable/order mismatch")
+        if len(self.coeffs) != len(other.coeffs):
+            raise ValueError("series order mismatch")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(self.var, self.order,
-                               tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(self.var, self.order,
-                               tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __str__(self) -> str:
-        return " + ".join(f"{c}*{self.var}^{i}" for i, c in enumerate(self.coeffs) if c) or "0"
+        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-def expand_product(factors: Sequence[Factor], shift: int, D: int,
-                   var: str = "u") -> TruncatedSeries:
+def expand_product(factors: Sequence[Factor], shift: int, D: int) -> TruncatedSeries:
     """u^shift * prod (1 + sign*u^a)^power through degree D, in place on one
     coefficient list: a factor multiplies by c[i] += sign*c[i-a] for i
     running down, and divides by c[i] -= sign*c[i-a] for i running up."""
@@ -71,17 +64,17 @@ def expand_product(factors: Sequence[Factor], shift: int, D: int,
         else:
             for i in range(a, D + 1):
                 c[i] -= sign * c[i - a]
-    return TruncatedSeries(var, D, tuple(c))
+    return TruncatedSeries(tuple(c))
 
 
 def gf_partitions(D: int, in_hook=None, typical=None,
-                  self_conjugate: bool = False, var: str = "u") -> TruncatedSeries:
+                  self_conjugate: bool = False) -> TruncatedSeries:
     """Coefficient of u^n = number of partitions of n meeting the
     constraints, by direct enumeration."""
     coeffs = tuple(len(enumerate_partitions(n, in_hook=in_hook, typical=typical,
                                             self_conjugate=self_conjugate))
                    for n in range(D + 1))
-    return TruncatedSeries(var, D, coeffs)
+    return TruncatedSeries(coeffs)
 
 
 def closed_form_series(kind: str, h, D: int) -> TruncatedSeries:
@@ -96,13 +89,13 @@ def closed_form_series(kind: str, h, D: int) -> TruncatedSeries:
     if kind == "traces_n1":
         factors = [(-1, i, -1) for i in range(1, k + 1)]
         factors += [(-1, j, -1) for j in range(1, ell + 1)]
-        return expand_product(factors, k * ell, D, var="t")
+        return expand_product(factors, k * ell, D)
     if kind == "supertraces_01":
         if k < ell:
             raise ValueError("supertraces_01 requires k >= l; swap the hook first")
         factors = [(1, 2 * i - 1, 1) for i in range(1, k - ell + 1)]
         factors += [(-1, 2 * i, -1) for i in range(1, ell + 1)]
-        return expand_product(factors, 2 * k * ell - ell * ell, D, var="u")
+        return expand_product(factors, 2 * k * ell - ell * ell, D)
     raise ValueError(f"unknown closed form kind {kind!r}")
 
 
@@ -117,7 +110,7 @@ def check_limit_identity(which: str, D: int, n: Optional[int] = None):
     sum through degree D.  Returns (ok, report); the report carries both
     coefficient lists and the first discrepancy degree, if any."""
     lhs = _odd_product(D)
-    rhs = TruncatedSeries.zero("u", D)
+    rhs = TruncatedSeries.zero(D)
     if which == "selfconjugate_sum":
         q = 0
         while q * q <= D:
@@ -166,14 +159,14 @@ def qidentities_suite(degree: int, max_kl: int) -> list[dict]:
             if k + ell == 0:
                 continue
             closed = closed_form_series("traces_n1", (k, ell), D)
-            direct = gf_partitions(D, typical=(k, ell), var="t")
+            direct = gf_partitions(D, typical=(k, ell))
             reports.append({"check": "traces_closed_form", "k": k, "l": ell,
                             "degree": D, "pass": closed.coeffs == direct.coeffs})
             if k >= ell:
                 closed = closed_form_series("supertraces_01", (k, ell), D)
                 big = gf_partitions(D, in_hook=(k, ell), self_conjugate=True)
                 small = (gf_partitions(D, in_hook=(k - 1, ell - 1), self_conjugate=True)
-                         if min(k, ell) >= 1 else TruncatedSeries.zero("u", D))
+                         if min(k, ell) >= 1 else TruncatedSeries.zero(D))
                 reports.append({"check": "supertraces_closed_form", "k": k, "l": ell,
                                 "degree": D,
                                 "pass": closed.coeffs == (big - small).coeffs})

@@ -55,12 +55,16 @@ def residue_table(h) -> VarTable:
                     + [f"y{j}" for j in range(1, h.l + 1)])
 
 
-@lru_cache(maxsize=None)
 def delta_numerator(h) -> LaurentPoly:
     """Finite part of Delta after the geometric rewrite: the difference
     products times the monomial prefactor prod x_i^-l prod y_j^k.
-    Memoised: every kernel rebuilt for a larger top starts from it."""
-    h = as_hook(h)
+    Memoised once per hook, as `z_alphabets` is: every kernel rebuilt for
+    a larger top starts from it."""
+    return _delta_numerator(as_hook(h))
+
+
+@lru_cache(maxsize=None)
+def _delta_numerator(h: Hook) -> LaurentPoly:
     k, ell = h.k, h.l
     table = residue_table(h)
     result = LaurentPoly.const(table, 1)
@@ -322,7 +326,6 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     too.  Below need it is empty, and the walk ends before any Z alphabet
     or complete function is built."""
     h = as_hook(h)
-    table = residue_table(h)
     kl = h.k * h.l
     need = kl - bar
     top = D if m else min(D, kl * n)
@@ -334,6 +337,7 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     t_floor = need - kl * (n - 1) - (D if m else 0)
     u_floor = need - kl * n - (D if m > 1 else 0)
     z0, z1 = z_alphabets(h)
+    table = z0.table
     cols = [list(graded_homs(z0, z1, h.k, t_floor, D)) if n else None,
             list(graded_homs(z1, z0, h.k, u_floor, D)) if m else None]
     zero_key = table.zero_key

@@ -9,8 +9,7 @@ from superschur import hookschur
 from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, graded_homs,
                                   hook_schur_def, hook_schur_eval,
                                   hook_schur_factorized, hook_schur_jp,
-                                  schur_by_tableaux, skew_schur_by_tableaux,
-                                  super_hom_sequence)
+                                  schur_by_tableaux, super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
 from superschur.partitions import (HookClass, classify_hook, conjugate,
                                    enumerate_partitions)
@@ -54,25 +53,6 @@ def test_schur_tall_shape_vanishes():
     assert schur_eval((2, 2, 1), X22).is_zero()
 
 
-def test_skew_schur_disconnected_shapes():
-    # a skew shape whose rows share no column is a product of rows:
-    # s_{(2,1)/(1)} = h_1^2, s_{(3,2,1)/(2,1)} = h_1^3, s_{(4,2)/(2)} = h_2^2;
-    # s_{(2,2)/(1)} = s_{(2,1)}, and mu = lam leaves 1
-    h1, h2 = schur_eval((1,), X22), schur_eval((2,), X22)
-    assert skew_schur_by_tableaux((2, 1), (1,), X22) == h1 * h1
-    assert skew_schur_by_tableaux((3, 2, 1), (2, 1), X22) == h1 * h1 * h1
-    assert skew_schur_by_tableaux((4, 2), (2,), X22) == h2 * h2
-    assert skew_schur_by_tableaux((2, 2), (1,), X22) == schur_eval((2, 1), X22)
-    assert skew_schur_by_tableaux((3, 1), (3, 1), X22) == LaurentPoly.const(T22, 1)
-
-
-def test_skew_schur_rejects_non_subshape():
-    # mu longer than lam, and mu wider than lam
-    for lam, mu in [((2, 1), (1, 1, 1)), ((1,), (2,))]:
-        with pytest.raises(ValueError, match="is not contained in"):
-            skew_schur_by_tableaux(lam, mu, X22)
-
-
 @pytest.mark.parametrize("formula", [
     hook_schur_eval, hook_schur_def, hook_schur_jp,
     lambda lam, X, Y: hook_schur_factorized(lam, X, Y)],
@@ -84,13 +64,6 @@ def test_hook_schur_formulas_reject_non_partitions(formula):
         with pytest.raises(ValueError, match=re.escape(str(bad))):
             formula(bad, X21, Y21)
     assert formula((2, 0, 1), X21, Y21) == formula((2, 1), X21, Y21)
-
-
-def test_skew_schur_rejects_non_partition_inner_shape():
-    with pytest.raises(ValueError, match=re.escape("(2, -1)")):
-        skew_schur_by_tableaux((3, 1), (2, -1), X22)
-    assert (skew_schur_by_tableaux((3, 1, 0), (1, 0), X22)
-            == skew_schur_by_tableaux((3, 1), (1,), X22))
 
 
 def test_factorization_2_1_example():

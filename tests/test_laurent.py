@@ -24,6 +24,8 @@ def test_multiply_examples():
     f = X + 2 * Y
     assert f * LaurentPoly.const(TABLE2, 1) == f
     assert (X + Y) * (X - Y) == X * X - Y * Y
+    assert LaurentPoly.const(TABLE2, 3) == 3
+    assert X != 1
 
 
 def test_table_mismatch_rejected():
@@ -342,7 +344,7 @@ def test_product_with_zero_has_reach_zero(f):
     # a zero factor makes the zero polynomial, whatever the other's bound;
     # hook-Schur determinants multiply entries by empty minors
     zero = LaurentPoly.zero(TABLE2)
-    for got in (f * zero, zero * f):
+    for got in (f * zero, zero * f, f * 0, 0 * f):
         assert got.is_zero() and got.reach == 0
     assert (f + zero).reach == f.reach
 

@@ -150,8 +150,8 @@ def test_budzik_suite_pool_size(monkeypatch, max_size, jobs, cpus, pool):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *items):
+            return map(fn, *items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(poincare.os, "cpu_count", lambda: cpus)

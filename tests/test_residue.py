@@ -64,12 +64,13 @@ def test_z_alphabet_shapes():
 
 def test_z_alphabets_built_once_per_hook():
     # a tuple and a Hook name one memo entry, so hs_on_z hashes the same
-    # alphabet objects on every call
+    # alphabet objects on every call, and one Delta numerator is built
     for k, l in [(1, 1), (2, 1), (2, 2)]:
         first = z_alphabets((k, l))
         again = z_alphabets(Hook(k, l))
         assert len(first) == len(again) == 2
         assert all(a is b for a, b in zip(first, again))
+        assert delta_numerator((k, l)) is delta_numerator(Hook(k, l))
 
 
 def test_hook_schur_orthonormality_typical():
@@ -543,8 +544,9 @@ def test_series_below_kl_builds_no_numerator(monkeypatch, h, D):
 
 def test_empty_kernel_builds_no_z_alphabet(monkeypatch):
     # below kl - bar the kernel is empty, so an integral ends before it
-    # builds the Z alphabets (about 4k^2 letters on a (k, k) hook) or any
-    # complete function, and gives what the char route gives
+    # builds the Z alphabets (about 4k^2 letters on a (k, k) hook), their
+    # variable table or any complete function, and gives what the char
+    # route gives
     want = [p_series("prime", (60, 60), 1, 0, 5, route="char"),
             p_series("bar_prime", (40, 40), 1, 1, 4, route="char")]
 
@@ -553,6 +555,7 @@ def test_empty_kernel_builds_no_z_alphabet(monkeypatch):
 
     monkeypatch.setattr(residue, "z_alphabets", refused)
     monkeypatch.setattr(residue, "graded_homs", refused)
+    monkeypatch.setattr(residue, "residue_table", refused)
     assert [p_series("prime", (60, 60), 1, 0, 5),
             p_series("bar_prime", (40, 40), 1, 1, 4)] == want
     assert m_prime_residue((3, 3), (100, 100)) == 0
