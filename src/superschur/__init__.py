@@ -3,13 +3,12 @@ series for hook tensor sums, with machine verification suites."""
 
 from .characters import (class_size, default_cache, kronecker, m_bar_lambda,
                          m_lambda, mn_character)
-from .hookschur import (Alphabet, f_lambda, hook_schur_def, hook_schur_eval,
-                        hook_schur_factorized, hook_schur_jp, schur_by_tableaux)
+from .hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
+                        hook_schur_factorized, hook_schur_jp)
 from .laurent import InexactError, LaurentPoly, VarTable, divide_exact
 from .partitions import (Hook, HookClass, Partition, add_box_successors,
                          classify_hook, conjugate, enumerate_partitions,
-                         is_self_conjugate, is_typical, parse_partition,
-                         typical_split)
+                         parse_partition, typical_split)
 from .poincare import (budzik_suite, check_derivative_relation, lemmas_suite,
                        multiplicity, p_series, univariate_coefficients,
                        verify_budzik)

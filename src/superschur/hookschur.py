@@ -9,9 +9,9 @@ floor for the Cauchy pairing of `residue`.  Three routes check the
 evaluation and share none of its code: the definitional one, which
 enumerates the (k, l)-semistandard tableaux of Berele and Regev; the
 Jozefiak-Pragacz symmetrized rational sum; and the factorization formula
-for typical shapes, whose Schur factors are tableau sums too.  Each
-drops the zero parts of a shape and refuses by name one that is not then
-a partition.
+for typical shapes, whose Schur factors are the definitional route with
+Y empty.  Each drops the zero parts of a shape and refuses by name one
+that is not then a partition.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class Alphabet:
             table.pack(exps)
         self.table = table
         self.monos = tuple((c, tuple(e)) for c, e in monos)
-
-    @classmethod
-    def empty(cls, table: VarTable) -> "Alphabet":
-        return cls(table, ())
 
     @classmethod
     def symbols(cls, table: VarTable, names: Sequence[str]) -> "Alphabet":
@@ -216,9 +212,10 @@ def hook_schur_eval(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
 
 # -- the definitional route: tableau enumeration -------------------------
 
-def _tableaux(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Sum over the (k, l)-semistandard tableaux of lam of the product of
-    their letters (Berele-Regev), k = |X| and l = |Y|.
+def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """Definitional route: the sum over the (k, l)-semistandard tableaux
+    of lam of the product of their letters (Berele-Regev), k = |X| and
+    l = |Y|.
 
     Letters 1..k are X's entries and k+1..k+l are Y's; rows and columns
     weakly increase, an x letter does not repeat down a column and a y
@@ -252,22 +249,11 @@ def _tableaux(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     return LaurentPoly(X.table, terms)
 
 
-def schur_by_tableaux(lam: Partition, A: Alphabet) -> LaurentPoly:
-    return _tableaux(lam, A, Alphabet.empty(A.table))
-
-
-def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Definitional route: the sum over the (|X|, |Y|)-semistandard
-    tableaux of lam."""
-    return _tableaux(lam, X, Y)
-
-
 # -- the other two hook-Schur formulas ------------------------------------
 
-def f_lambda(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
-    """Product of (x_i + y_j) over the boxes of lam, with variables beyond
-    the hook (|X|, |Y|) reading as zero."""
-    lam = check_partition(p for p in lam if p)
+def _f_lambda(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
+    """Product of (x_i + y_j) over the boxes of the partition lam, with
+    variables beyond the hook (|X|, |Y|) reading as zero."""
     table = X.table
     result = LaurentPoly.const(table, 1)
     for i in range(1, len(lam) + 1):
@@ -314,12 +300,13 @@ def hook_schur_jp(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     ynames = _plain_names(Y)
     if set(xnames) & set(ynames):
         raise ValueError("X and Y must be disjoint variable sets")
+    lam = check_partition(p for p in lam if p)
     numerator = LaurentPoly.zero(table)
     for sigma in permutations(range(len(X))):
         for tau in permutations(range(len(Y))):
             Xs = Alphabet(table, [X.monos[i] for i in sigma])
             Ys = Alphabet(table, [Y.monos[j] for j in tau])
-            term = f_lambda(lam, Xs, Ys) * (_sign(sigma) * _sign(tau))
+            term = _f_lambda(lam, Xs, Ys) * (_sign(sigma) * _sign(tau))
             for A in (Xs, Ys):
                 for i in range(len(A)):
                     term = term * A.entry(i) ** (len(A) - 1 - i)
@@ -339,7 +326,8 @@ def hook_schur_factorized(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPo
     """Factorization route for shapes typical in the hook (|X|, |Y|): the
     full rectangle product times s_mu(X) s_nu(Y)."""
     mu, nu = typical_split(check_partition(p for p in lam if p), (len(X), len(Y)))
-    result = schur_by_tableaux(mu, X) * schur_by_tableaux(nu, Y)
+    result = (hook_schur_def(mu, X, Alphabet(X.table, ()))
+              * hook_schur_def(nu, Y, Alphabet(Y.table, ())))
     for i in range(len(X)):
         for j in range(len(Y)):
             result = result * (X.entry(i) + Y.entry(j))

@@ -126,14 +126,6 @@ def classify_hook(lam: Partition, h) -> HookClass:
     return HookClass.ATYPICAL
 
 
-def is_typical(lam: Partition, h) -> bool:
-    return classify_hook(lam, h) is HookClass.TYPICAL
-
-
-def is_self_conjugate(lam: Partition) -> bool:
-    return lam == conjugate(lam)
-
-
 def _gen(n: int, max_part: int, free: int, cap: int) -> Iterator[Partition]:
     """All partitions of n with parts <= max_part whose parts after the
     first `free` are also <= cap, lexicographic descending."""
@@ -164,9 +156,10 @@ def enumerate_partitions(n: int,
     free, cap = (n, 0) if bound is None else as_hook(bound)
     out = []
     for lam in _gen(n, n, free, cap):
-        if typical is not None and not is_typical(lam, typical):
+        if (typical is not None
+                and classify_hook(lam, typical) is not HookClass.TYPICAL):
             continue
-        if self_conjugate and not is_self_conjugate(lam):
+        if self_conjugate and lam != conjugate(lam):
             continue
         out.append(lam)
     return out

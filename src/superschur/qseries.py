@@ -99,17 +99,12 @@ def closed_form_series(kind: str, h, D: int) -> TruncatedSeries:
     raise ValueError(f"unknown closed form kind {kind!r}")
 
 
-def _odd_product(D: int) -> TruncatedSeries:
-    """prod_{n>=1} (1 + u^{2n-1}) through degree D (exact truncation)."""
-    factors = [(1, a, 1) for a in range(1, D + 1, 2)]
-    return expand_product(factors, 0, D)
-
-
 def check_limit_identity(which: str, D: int, n: Optional[int] = None):
-    """Compare the odd-part product against the stated basic-hypergeometric
-    sum through degree D.  Returns (ok, report); the report carries both
-    coefficient lists and the first discrepancy degree, if any."""
-    lhs = _odd_product(D)
+    """Compare the odd-part product prod_{n>=1} (1 + u^{2n-1}) against the
+    stated basic-hypergeometric sum through degree D.  Returns (ok, report);
+    the report carries both coefficient lists and the first discrepancy
+    degree, if any."""
+    lhs = expand_product([(1, a, 1) for a in range(1, D + 1, 2)], 0, D)
     rhs = TruncatedSeries.zero(D)
     if which == "selfconjugate_sum":
         q = 0

@@ -9,10 +9,10 @@ from superschur import hookschur
 from superschur.hookschur import (_HOM_CACHE, Alphabet, _det, graded_homs,
                                   hook_schur_def, hook_schur_eval,
                                   hook_schur_factorized, hook_schur_jp,
-                                  schur_by_tableaux, super_hom_sequence)
+                                  super_hom_sequence)
 from superschur.laurent import LaurentPoly, VarTable
-from superschur.partitions import (HookClass, classify_hook, conjugate,
-                                   enumerate_partitions)
+from superschur.partitions import (HookClass, check_partition, classify_hook,
+                                   conjugate, enumerate_partitions)
 from superschur.residue import z_alphabets
 
 from conftest import graded_hom_sequence, hom_sequence_x_then_y
@@ -33,7 +33,7 @@ Y22 = Alphabet.symbols(T22, ["y1", "y2"])
 def schur_eval(lam, A):
     # s_lam(A) is the hook Schur function with no odd letters; zero when
     # the shape is taller than the alphabet
-    return hook_schur_eval(lam, A, Alphabet.empty(A.table))
+    return hook_schur_eval(lam, A, Alphabet(A.table, ()))
 
 
 def _sym(table, name):
@@ -43,9 +43,9 @@ def _sym(table, name):
 def test_schur_matches_tableaux():
     for n in range(6):
         for lam in enumerate_partitions(n, in_hook=(2, 0)):
-            assert schur_eval(lam, X22) == schur_by_tableaux(lam, X22)
+            assert schur_eval(lam, X22) == hook_schur_def(lam, X22, Alphabet(T22, ()))
         for lam in enumerate_partitions(n, in_hook=(1, 0)):
-            assert schur_eval(lam, Y21) == schur_by_tableaux(lam, Y21)
+            assert schur_eval(lam, Y21) == hook_schur_def(lam, Y21, Alphabet(T21, ()))
 
 
 def test_schur_tall_shape_vanishes():
@@ -92,7 +92,7 @@ def test_duality_conjugate_swap():
 
 
 def test_specializes_to_schur():
-    empty = Alphabet.empty(T22)
+    empty = Alphabet(T22, ())
     for n in range(6):
         for lam in enumerate_partitions(n, in_hook=(2, 0)):
             assert hook_schur_eval(lam, X22, empty) == schur_eval(lam, X22)
@@ -133,7 +133,7 @@ def test_check_formulas_take_no_determinant(monkeypatch):
 TABC = VarTable(["a", "b", "c"])
 XABC = Alphabet(TABC, [(1, (1, 0, 0)), (1, (1, 0, 0)), (-1, (0, 1, 0))])  # a, a, -b
 YABC = Alphabet(TABC, [(-1, (0, 0, 1)), (1, (0, 1, -1))])                # -c, b/c
-EMPTY_ABC = Alphabet.empty(TABC)
+EMPTY_ABC = Alphabet(TABC, ())
 
 
 @pytest.mark.parametrize("X, Y, size", [
@@ -175,7 +175,7 @@ def test_monomial_alphabet_entries():
     # alphabets may carry signed Laurent monomials, not just symbols
     t = VarTable(["a", "b"])
     A = Alphabet(t, [(1, (1, -1)), (1, (-1, 1))])
-    B = Alphabet.empty(t)
+    B = Alphabet(t, ())
     # s_(2) = h_2 = a^2 b^-2 + 1 + a^-2 b^2
     expected = (LaurentPoly.monomial(t, 1, (2, -2)) + LaurentPoly.const(t, 1)
                 + LaurentPoly.monomial(t, 1, (-2, 2)))
@@ -268,9 +268,9 @@ def test_graded_homs_refuse_a_letter_above_x_degree_one():
     t = VarTable(["a", "b"])
     X = Alphabet(t, [(1, (2, 0))])
     with pytest.raises(ValueError, match="x-degree above 1"):
-        next(graded_homs(X, Alphabet.empty(t), 1, 0, 3))
-    assert list(graded_homs(X, Alphabet.empty(t), 0, 0, 3)) == \
-        graded_hom_sequence(X, Alphabet.empty(t), 0, 0, 3)
+        next(graded_homs(X, Alphabet(t, ()), 1, 0, 3))
+    assert list(graded_homs(X, Alphabet(t, ()), 0, 0, 3)) == \
+        graded_hom_sequence(X, Alphabet(t, ()), 0, 0, 3)
 
 
 @pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
@@ -292,6 +292,20 @@ def test_super_hom_sequence_letter_order(h):
 def test_jp_rejects_non_plain_or_shared_variables(xs, ys):
     with pytest.raises(ValueError):
         hook_schur_jp((1,), Alphabet(T21, xs), Alphabet(T21, ys))
+
+
+def test_jp_checks_the_shape_once(monkeypatch):
+    # the shape is checked once per call, not once per (sigma, tau) term
+    want = hook_schur_def((3, 2, 1), X22, Y22)
+    calls = []
+
+    def counted(parts):
+        calls.append(parts)
+        return check_partition(parts)
+
+    monkeypatch.setattr(hookschur, "check_partition", counted)
+    assert hook_schur_jp((3, 2, 1), X22, Y22) == want
+    assert len(calls) == 1
 
 
 def _leibniz_det(mat, table):

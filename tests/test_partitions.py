@@ -139,8 +139,17 @@ def test_hook_pruned_enumeration_matches_filter_oracle():
                 lam for lam in every if classify_hook(lam, h) is not HookClass.OUTSIDE]
             assert enumerate_partitions(n, typical=h) == [
                 lam for lam in every if classify_hook(lam, h) is HookClass.TYPICAL]
+            assert enumerate_partitions(n, typical=h, self_conjugate=True) == [
+                lam for lam in every if classify_hook(lam, h) is HookClass.TYPICAL
+                and lam == conjugate(lam)]
             for other in ((1, 1), (2, 0)):
                 assert enumerate_partitions(n, in_hook=h, typical=other) == [
                     lam for lam in every
                     if classify_hook(lam, h) is not HookClass.OUTSIDE
                     and classify_hook(lam, other) is HookClass.TYPICAL]
+                assert enumerate_partitions(n, in_hook=h, typical=other,
+                                            self_conjugate=True) == [
+                    lam for lam in every
+                    if classify_hook(lam, h) is not HookClass.OUTSIDE
+                    and classify_hook(lam, other) is HookClass.TYPICAL
+                    and lam == conjugate(lam)]
