@@ -6,9 +6,9 @@ from .characters import (class_size, default_cache, kronecker, m_bar_lambda,
 from .hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
                         hook_schur_factorized, hook_schur_jp)
 from .laurent import InexactError, LaurentPoly, VarTable, divide_exact
-from .partitions import (Hook, HookClass, Partition, add_box_successors,
-                         classify_hook, conjugate, enumerate_partitions,
-                         parse_partition, typical_split)
+from .partitions import (Hook, HookClass, Partition, classify_hook,
+                         conjugate, enumerate_partitions, parse_partition,
+                         typical_split)
 from .poincare import (budzik_suite, check_derivative_relation, lemmas_suite,
                        multiplicity, p_series, univariate_coefficients,
                        verify_budzik)

@@ -2,8 +2,9 @@
 
 Evaluation on large monomial alphabets (`hook_schur_eval`) expands the
 generating product of the super complete functions and takes one
-Jacobi-Trudi determinant in them.  One column recurrence builds those
-complete functions (`graded_homs`): ungraded and memoised for the
+Jacobi-Trudi determinant in them.  One builder makes those complete
+functions (`graded_homs`), one in-place pass per letter of their
+generating product, to a given degree: ungraded and memoised for the
 determinant (`super_hom_sequence`), and split by x-degree and cut at a
 floor for the Cauchy pairing of `residue`.  Three routes check the
 evaluation and share none of its code: the definitional one, which
@@ -16,10 +17,10 @@ that is not then a partition.
 
 from __future__ import annotations
 
-from itertools import count, islice, permutations
+from itertools import permutations
 from math import inf
 from operator import add
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .laurent import LaurentPoly, VarTable, divide_exact
 from .partitions import Partition, check_partition, conjugate, typical_split
@@ -78,28 +79,34 @@ _HOM_CACHE: dict = {}
 
 
 def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
-                top: float) -> Iterator[dict]:
-    """Yield h_0, ..., h_top of X;Y, the coefficients of prod (1 - x z)^-1
-    prod (1 + y z), as {x-degree: LaurentPoly} over the x-degrees >= floor,
-    to be read, not changed.  The x-degree of a term is the sum of its first
-    k exponents: k = 0 grades nothing, floor 0 cuts nothing; top may be inf.
+                top: int) -> list[dict]:
+    """h_0, ..., h_top of X;Y, the coefficients of prod (1 - x u)^-1
+    prod (1 + y u), each as {x-degree: LaurentPoly} over the x-degrees
+    >= floor, to be read, not changed.  The x-degree of a term is the sum
+    of its first k exponents: k = 0 grades nothing, floor 0 cuts nothing.
 
-    The column recurrence: col[i] is h_R of the first i letters, and
-    degree R + 1 takes col[i+1] = col[i] + x * prev[i+1] for an x letter
-    and col[i] + y * prev[i] for a y letter, one pass per bucket.  Any
-    letter order gives the same h_R; the cheap one takes Y's letters
-    first, then X's constants, then the rest of X.  A y letter enters at
-    most once and a constant moves no exponent, so every column entry over
-    those letters is a sum of the terms of e_j(Y), j <= |Y|, and only X's
-    other letters work on the full-size polynomials.  Graded, Y goes
-    plus-first and X minus-first.
+    The generating product, one letter at a time and in place, over
+    packed dicts h[R] = {x-degree: {key: coefficient}}: a y letter adds
+    y * h[R - 1] into h[R] with R running down, so it enters once, and an
+    x letter with R running up, so it repeats.  Any letter order gives
+    the same h_R; the cheap one takes Y's letters first, then X's
+    constants, then the rest of X.  A y letter enters at most once and a
+    constant moves no exponent, so every bucket over those letters is a
+    sum of the terms of e_j(Y), j <= |Y|, and only X's other letters work
+    on the full-size buckets.  Graded, Y goes plus-first and X
+    minus-first.
 
-    A term of column i can still gain the letters from i on, and the X
-    letter before i, which repeats.  With no letter above x-degree 1 they
-    add at most top - R (ValueError otherwise), and while no X letter of
-    x-degree +1 is left, one per Y letter of x-degree +1 left.  A bucket
-    they cannot lift to floor is dropped: every term it would feed stays
-    below floor, so the buckets kept are exact."""
+    After letter i, a term of h_R can still gain the letters from i on,
+    and letter i again if it is in X.  With no letter above x-degree 1
+    they add at most top - R (ValueError otherwise), and while no X
+    letter of x-degree +1 is left, one per Y letter of x-degree +1 left.
+    A bucket they cannot lift to floor is dropped: every term it would
+    feed stays below floor, so the buckets kept are exact.
+
+    A term of h_R is R letters, each y letter at most once, so no
+    exponent passes reach(R) = min(R a, R a_X + sum_y a_y), a being a
+    letter's largest |exponent|; ValueError before any work if reach(top)
+    is past the packing limit, and each h_R carries reach(R)."""
     table, zero = X.table, (0,) * len(X.table)
     letters = (sorted(Y.monos, key=lambda z: -sum(z[1][:k]))
                + sorted(X.monos, key=lambda z: (sum(z[1][:k]), z[1] != zero)))
@@ -107,43 +114,68 @@ def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
     grades = [sum(e[:k]) for _, e in letters]
     if max(grades, default=0) > 1:
         raise ValueError("a letter of x-degree above 1 would void the cut")
-    # lows[i]: the least x-degree a bucket of column i needs at any degree
+    widths = [max(map(abs, e), default=0) for _, e in letters]
+    a, a_x = max(widths, default=0), max(widths[ny:], default=0)
+    sum_y = sum(widths[:ny])
+    reach = [min(R * a, R * a_x + sum_y) for R in range(top + 1)]
+    if reach[-1] > VarTable.LIMIT:
+        raise ValueError(f"complete functions through degree {top} reach "
+                         f"exponent {reach[-1]}, past the packing limit "
+                         f"{VarTable.LIMIT}")
+    # lows[i]: the least x-degree a bucket needs after the first i letters
     lows = [-inf if any(s > 0 for s in grades[max(i - 1, ny):])
             else floor - sum(s > 0 for s in grades[i:ny]) for i in range(size + 1)]
-    # per letter: itself, its x-degree, source column, next low, rising?
-    steps = [(LaurentPoly.monomial(table, *z), s, i + (i >= ny), lows[i + 1],
-              lows[i] < lows[i + 1]) for i, (z, s) in enumerate(zip(letters, grades))]
-    col = [{0: LaurentPoly.const(table, 1)} if low <= 0 else {} for low in lows]
-    for R in count(1):
-        hd = col[size]  # cut at floor already unless its low is below
-        yield hd if lows[size] >= floor else {
-            g: p for g, p in hd.items() if g >= floor}
-        if R > top:
-            return
-        prev, col = col, [{}]
-        for z, s, source, low, rises in steps:
-            new = ({g: p for g, p in col[-1].items() if g >= low} if rises
-                   else col[-1].copy())
-            cut = max(low, floor - (top - R))
-            for g, p in prev[source].items():
+    h: list[dict] = [{} for _ in range(top + 1)]
+    if lows[0] <= 0:
+        h[0][0] = {table.zero_key: 1}
+    for i, ((c, e), s) in enumerate(zip(letters, grades)):
+        shift, low = table.pack(e) - table.zero_key, lows[i + 1]
+        rises = lows[i] < low
+        for R in range(top, -1, -1) if i < ny else range(top + 1):
+            if rises:
+                h[R] = {g: t for g, t in h[R].items() if g >= low}
+            if not R:
+                continue
+            out, cut = h[R], max(low, floor - (top - R))
+            for g, src in h[R - 1].items():
                 g += s
-                if g >= cut:
-                    new[g] = new[g]._add_monomial_times(z, p) if g in new else z * p
-                    if not new[g]._packed:
-                        del new[g]
-            col.append(new)
+                if g < cut:
+                    continue
+                dst = out.get(g)
+                if dst is None:
+                    out[g] = {key + shift: c * b for key, b in src.items()}
+                    continue
+                get = dst.get
+                for key, b in src.items():
+                    key += shift
+                    b = get(key, 0) + c * b
+                    if b:
+                        dst[key] = b
+                    else:
+                        del dst[key]
+                if not dst:
+                    del out[g]
+    wrap, hs = LaurentPoly._from_packed, []
+    for hr, r in zip(h, reach):
+        hd = {}
+        for g, t in hr.items():
+            if g >= floor:
+                hd[g] = wrap(table, t, r)
+        hs.append(hd)
+    return hs
 
 
 def super_hom_sequence(X: Alphabet, Y: Alphabet, upto: int) -> list[LaurentPoly]:
     """h_0..h_upto of the super alphabet X;Y, ungraded.  One memo entry per
-    alphabet pair holds the h_d drawn so far and a `graded_homs` builder
-    over k = 0 with no degree bound; a larger `upto` draws more from it,
-    a smaller one slices the list.  The entry leaves the memo while it
-    draws, so a builder that raised is dropped, not served spent."""
-    hs, builder = _HOM_CACHE.pop((X, Y), None) or ([], graded_homs(X, Y, 0, 0, inf))
-    zero = LaurentPoly.zero(X.table)
-    hs.extend(hd.get(0, zero) for hd in islice(builder, max(upto + 1 - len(hs), 0)))
-    _HOM_CACHE[X, Y] = hs, builder
+    alphabet pair holds the list `graded_homs` built over k = 0; a larger
+    `upto` builds it again to that degree, and a smaller one slices it.
+    The entry is replaced only by a finished build, so a build that raised
+    leaves the entry it found."""
+    hs = _HOM_CACHE.get((X, Y))
+    if hs is None or len(hs) <= upto:
+        zero = LaurentPoly.zero(X.table)
+        hs = _HOM_CACHE[X, Y] = [hd.get(0, zero)
+                                 for hd in graded_homs(X, Y, 0, 0, upto)]
     return hs[:upto + 1]
 
 

@@ -170,22 +170,6 @@ def partitions_of(n: int) -> tuple:
     return tuple(_gen(n, n, n, 0))
 
 
-def add_box_successors(lam: Partition) -> list[Partition]:
-    """All partitions of |lam|+1 whose diagram is lam plus one box."""
-    out = []
-    for i in range(len(lam) + 1):
-        here = part(lam, i + 1)
-        above = part(lam, i) if i else None
-        if above is None or here < above:
-            grown = list(lam)
-            if i < len(lam):
-                grown[i] += 1
-            else:
-                grown.append(1)
-            out.append(tuple(grown))
-    return out
-
-
 def typical_split(lam: Partition, h) -> tuple[Partition, Partition]:
     """Peel the k x l rectangle off a typical partition: (arm mu, leg nu)."""
     h = as_hook(h)

@@ -338,8 +338,8 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     u_floor = need - kl * n - (D if m > 1 else 0)
     z0, z1 = z_alphabets(h)
     table = z0.table
-    cols = [list(graded_homs(z0, z1, h.k, t_floor, D)) if n else None,
-            list(graded_homs(z1, z0, h.k, u_floor, D)) if m else None]
+    cols = [graded_homs(z0, z1, h.k, t_floor, D) if n else None,
+            graded_homs(z1, z0, h.k, u_floor, D) if m else None]
     zero_key = table.zero_key
     get = kern.get
 

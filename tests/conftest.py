@@ -59,3 +59,15 @@ def graded_hom_sequence(X, Y, k, floor, upto):
                 buckets.setdefault(sum(e[:k]), {})[e] = c
         out.append({g: LaurentPoly(X.table, b) for g, b in buckets.items()})
     return out
+
+
+def add_box_successors(lam):
+    """All partitions of |lam| + 1 whose diagram is lam plus one box: the
+    one-box branching rule, oracle for the bar class function and the bar
+    jump."""
+    out = []
+    for i in range(len(lam) + 1):
+        here = lam[i] if i < len(lam) else 0
+        if i == 0 or here < lam[i - 1]:
+            out.append(lam[:i] + (here + 1,) + lam[i + 1:])
+    return out

@@ -14,7 +14,7 @@ from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
 from superschur.laurent import VarTable
 from superschur.residue import m_prime_residue
 
-from conftest import partitions
+from conftest import add_box_successors, partitions
 
 
 def test_character_table_s3():
@@ -510,7 +510,6 @@ def test_m_bar_lambda_is_successor_sum():
     # the branching rule, summed over the one-box extensions of lam, is the
     # oracle for the bar class function; the bar jump is its difference
     # against the next smaller hook
-    from superschur.partitions import add_box_successors
     from superschur.poincare import multiplicity
     for h in [(0, 0), (1, 0), (0, 2), (1, 1), (2, 1), (2, 2), (3, 1)]:
         smaller = (h[0] - 1, h[1] - 1) if min(h) > 0 else None

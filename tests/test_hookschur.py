@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import (combinations, combinations_with_replacement, islice,
+from itertools import (combinations, combinations_with_replacement,
                        permutations)
 
 import pytest
@@ -238,28 +238,50 @@ def test_graded_homs_on_signed_alphabets(floor):
     Y = Alphabet(t, [(1, (0, 1)), (-1, (1, -1)), (1, (-1, 0))])
     a, minus_a = Alphabet(t, [(1, (1, 0))]), Alphabet(t, [(-1, (1, 0))])
     for A, B in ((X, Y), (Y, X), (a, minus_a)):
-        assert list(graded_homs(A, B, 1, floor, 6)) == \
+        assert graded_homs(A, B, 1, floor, 6) == \
             graded_hom_sequence(A, B, 1, floor, 6)
 
 
-def test_super_hom_sequence_drops_a_builder_that_raised(monkeypatch):
-    # a builder that raised is spent; the memo must not keep serving it
+def test_super_hom_sequence_keeps_its_entry_when_a_build_raises(monkeypatch):
+    # a larger upto builds the list again; a build that raised must leave
+    # the entry it found, not a half-built one
     t = VarTable(["a", "b"])
     X = Alphabet(t, [(1, (1, 0)), (1, (0, 1))])
     Y = Alphabet(t, [(1, (1, 1))])
     _HOM_CACHE.pop((X, Y), None)
-    builder = hookschur.graded_homs
+    assert super_hom_sequence(X, Y, 2) == hom_sequence_x_then_y(X, Y, 2)
 
-    def failing(*args):
-        yield from islice(builder(*args), 3)
+    def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(hookschur, "graded_homs", failing)
-    assert super_hom_sequence(X, Y, 2) == hom_sequence_x_then_y(X, Y, 2)
+    monkeypatch.setattr(hookschur, "graded_homs", interrupted)
     with pytest.raises(KeyboardInterrupt):
         super_hom_sequence(X, Y, 5)
-    monkeypatch.setattr(hookschur, "graded_homs", builder)
+    assert _HOM_CACHE[X, Y] == hom_sequence_x_then_y(X, Y, 2)
+    monkeypatch.undo()
     assert super_hom_sequence(X, Y, 5) == hom_sequence_x_then_y(X, Y, 5)
+
+
+def test_complete_functions_carry_their_exponent_bound():
+    # h_10 of {a^2} is a^20: its bound is 10 letters of exponent 2, so a
+    # product that would pass the packing limit is refused, not wrapped
+    t = VarTable(["a"])
+    h10 = graded_homs(Alphabet(t, [(1, (2,))]), Alphabet(t, ()), 0, 0, 10)[10][0]
+    assert h10 == LaurentPoly.monomial(t, 1, (20,))
+    with pytest.raises(ValueError, match="packing limit"):
+        h10 * LaurentPoly.monomial(t, 1, (VarTable.LIMIT - 10,))
+
+
+def test_graded_homs_count_each_y_letter_once():
+    # X = {1} and Y = {a, 1/a}: every h_R past degree 1 is 2 + a + 1/a,
+    # whose exponents stay within 1 at any degree, so a top past the
+    # packing limit still builds
+    t = VarTable(["a"])
+    hs = graded_homs(Alphabet(t, [(1, (0,))]),
+                     Alphabet(t, [(1, (1,)), (1, (-1,))]), 0, 0, VarTable.LIMIT + 1)
+    assert len(hs) == VarTable.LIMIT + 2
+    assert hs[-1][0].coefficient((0,)) == 2
+    assert hs[-1][0] == hs[2][0]
 
 
 def test_graded_homs_refuse_a_letter_above_x_degree_one():
@@ -268,8 +290,8 @@ def test_graded_homs_refuse_a_letter_above_x_degree_one():
     t = VarTable(["a", "b"])
     X = Alphabet(t, [(1, (2, 0))])
     with pytest.raises(ValueError, match="x-degree above 1"):
-        next(graded_homs(X, Alphabet(t, ()), 1, 0, 3))
-    assert list(graded_homs(X, Alphabet(t, ()), 0, 0, 3)) == \
+        graded_homs(X, Alphabet(t, ()), 1, 0, 3)
+    assert graded_homs(X, Alphabet(t, ()), 0, 0, 3) == \
         graded_hom_sequence(X, Alphabet(t, ()), 0, 0, 3)
 
 

@@ -3,12 +3,11 @@ import pickle
 import pytest
 from hypothesis import given
 
-from superschur.partitions import (Hook, HookClass, add_box_successors,
-                                   classify_hook, conjugate,
+from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
                                    enumerate_partitions, parse_partition,
                                    typical_split)
 
-from conftest import partitions
+from conftest import add_box_successors, partitions
 
 
 def test_conjugate_examples():

@@ -3,8 +3,8 @@ import re
 import pytest
 
 from superschur.characters import kronecker
-from superschur.hookschur import (Alphabet, hook_schur_def, hook_schur_eval,
-                                  hook_schur_jp)
+from superschur.hookschur import (Alphabet, graded_homs, hook_schur_def,
+                                  hook_schur_eval, hook_schur_jp)
 from superschur.laurent import LaurentPoly, VarTable, divide_exact
 from superschur.partitions import enumerate_partitions
 from superschur.poincare import check_derivative_relation
@@ -13,6 +13,7 @@ T1 = VarTable(["x1", "y1"])
 T2 = VarTable(["a", "b"])
 X1, Y1 = Alphabet.symbols(T1, ["x1"]), Alphabet.symbols(T1, ["y1"])
 Y2 = Alphabet.symbols(T2, ["b"])
+A_SQUARED = Alphabet(T2, [(1, (2, 0))])
 P1 = LaurentPoly.variable(T1, "x1")
 
 
@@ -29,9 +30,11 @@ P1 = LaurentPoly.variable(T1, "x1")
     (lambda: P1 ** -1, ValueError, "exponent must be a nonnegative integer"),
     (lambda: divide_exact(P1, LaurentPoly.zero(T1)), ZeroDivisionError,
      "division by zero polynomial"),
+    (lambda: graded_homs(A_SQUARED, Alphabet(T2, ()), 0, 0, VarTable.LIMIT // 2 + 1),
+     ValueError, f"reach exponent {VarTable.LIMIT + 1}, past the packing limit"),
 ], ids=["eval-tables", "tableaux-tables", "jp-tables", "kronecker-sizes",
         "negative-size", "derivative-degree-0", "duplicate-names",
-        "negative-power", "divide-by-zero"])
+        "negative-power", "divide-by-zero", "homs-past-limit"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

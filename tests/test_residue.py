@@ -16,7 +16,7 @@ from superschur.residue import (_KERNELS, _kernel, constant_term_by_kernel,
                                 hs_on_z, inner_product, m_bar_prime_residue,
                                 m_prime_residue, residue_table, z_alphabets)
 
-from conftest import graded_hom_sequence, laurent_polys
+from conftest import add_box_successors, graded_hom_sequence, laurent_polys
 
 
 def test_residue_table_layout():
@@ -107,7 +107,6 @@ def test_m_prime_degenerate_hooks_match_characters():
 
 
 def test_m_bar_prime_is_successor_sum():
-    from superschur.partitions import add_box_successors
     for h in [(1, 1), (2, 1)]:
         for n in range(4):
             for lam in enumerate_partitions(n):
@@ -623,6 +622,6 @@ def test_graded_homs_equal_complete_functions_cut_at_floor(h, odd):
     X, Y = (z1, z0) if odd else (z0, z1)
     D = 10
     for floor in (h.k * h.l, 0, -D):
-        graded = list(graded_homs(X, Y, h.k, floor, D))
+        graded = graded_homs(X, Y, h.k, floor, D)
         assert len(graded) == D + 1
         assert graded == graded_hom_sequence(X, Y, h.k, floor, D), floor
