@@ -188,7 +188,7 @@ def main(argv=None, out=None) -> int:
             code = _run_series(args, out)
         else:
             code = _run_verify(args, out)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

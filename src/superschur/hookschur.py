@@ -1,8 +1,10 @@
 """Schur and hook Schur functions on finite monomial alphabets.
 
-Evaluation on large monomial alphabets (`hook_schur_eval`) expands the
-generating product of the super complete functions and takes one
-Jacobi-Trudi determinant in them.  One builder makes those complete
+An alphabet's letters are Laurent monomials with coefficient 1, each an
+exponent tuple (`Alphabet`), so the super complete functions have only
+positive coefficients.  Evaluation on large alphabets (`hook_schur_eval`)
+expands the generating product of the super complete functions and takes
+one Jacobi-Trudi determinant in them.  One builder makes those complete
 functions (`graded_homs`), one in-place pass per letter of their
 generating product, to a given degree: ungraded and memoised for the
 determinant (`super_hom_sequence`), and split by x-degree and cut at a
@@ -17,6 +19,7 @@ that is not then a partition.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 from math import inf
 from operator import add
@@ -27,21 +30,22 @@ from .partitions import Partition, check_partition, conjugate, typical_split
 
 
 class Alphabet:
-    """Ordered multiset of signed Laurent monomials over a shared table.
+    """Ordered multiset of Laurent monomials with coefficient 1 over a
+    shared table, each entry its exponent tuple.
 
-    Repeats and the constant monomial 1 are permitted.  Hashable so that
-    the complete-function memo can key on it.
+    Repeats and the constant monomial 1 are permitted; an entry that does
+    not fit the table is refused by name.  Hashable so that the
+    complete-function memo can key on it.
     """
 
     __slots__ = ("table", "monos")
 
-    def __init__(self, table: VarTable, monos: Sequence[tuple[int, tuple]]):
-        for coeff, exps in monos:
-            if coeff not in (1, -1):
-                raise ValueError("alphabet entries must be signed unit monomials")
+    def __init__(self, table: VarTable, monos: Sequence[tuple]):
+        monos = tuple(map(tuple, monos))
+        for exps in monos:
             table.pack(exps)
         self.table = table
-        self.monos = tuple((c, tuple(e)) for c, e in monos)
+        self.monos = monos
 
     @classmethod
     def symbols(cls, table: VarTable, names: Sequence[str]) -> "Alphabet":
@@ -49,7 +53,7 @@ class Alphabet:
         for name in names:
             e = [0] * len(table)
             e[table.index(name)] = 1
-            monos.append((1, tuple(e)))
+            monos.append(e)
         return cls(table, monos)
 
     def __len__(self) -> int:
@@ -63,14 +67,10 @@ class Alphabet:
         return hash((self.table, self.monos))
 
     def entry(self, i: int) -> LaurentPoly:
-        c, e = self.monos[i]
-        return LaurentPoly.monomial(self.table, c, e)
+        return LaurentPoly.monomial(self.table, 1, self.monos[i])
 
     def sum_poly(self) -> LaurentPoly:
-        total = LaurentPoly.zero(self.table)
-        for c, e in self.monos:
-            total = total + LaurentPoly.monomial(self.table, c, e)
-        return total
+        return LaurentPoly(self.table, Counter(self.monos))
 
 
 # -- complete functions and Jacobi-Trudi ------------------------------
@@ -94,7 +94,9 @@ def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
     constant moves no exponent, so every bucket over those letters is a
     sum of the terms of e_j(Y), j <= |Y|, and only X's other letters work
     on the full-size buckets.  Graded, Y goes plus-first and X
-    minus-first.
+    minus-first.  Every letter has coefficient 1, so every coefficient
+    is positive: no term cancels and no bucket empties, and a pass only
+    adds.
 
     After letter i, a term of h_R can still gain the letters from i on,
     and letter i again if it is in X.  With no letter above x-degree 1
@@ -108,13 +110,13 @@ def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
     letter's largest |exponent|; ValueError before any work if reach(top)
     is past the packing limit, and each h_R carries reach(R)."""
     table, zero = X.table, (0,) * len(X.table)
-    letters = (sorted(Y.monos, key=lambda z: -sum(z[1][:k]))
-               + sorted(X.monos, key=lambda z: (sum(z[1][:k]), z[1] != zero)))
+    letters = (sorted(Y.monos, key=lambda e: -sum(e[:k]))
+               + sorted(X.monos, key=lambda e: (sum(e[:k]), e != zero)))
     ny, size = len(Y), len(letters)
-    grades = [sum(e[:k]) for _, e in letters]
+    grades = [sum(e[:k]) for e in letters]
     if max(grades, default=0) > 1:
         raise ValueError("a letter of x-degree above 1 would void the cut")
-    widths = [max(map(abs, e), default=0) for _, e in letters]
+    widths = [max(map(abs, e), default=0) for e in letters]
     a, a_x = max(widths, default=0), max(widths[ny:], default=0)
     sum_y = sum(widths[:ny])
     reach = [min(R * a, R * a_x + sum_y) for R in range(top + 1)]
@@ -128,7 +130,7 @@ def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
     h: list[dict] = [{} for _ in range(top + 1)]
     if lows[0] <= 0:
         h[0][0] = {table.zero_key: 1}
-    for i, ((c, e), s) in enumerate(zip(letters, grades)):
+    for i, (e, s) in enumerate(zip(letters, grades)):
         shift, low = table.pack(e) - table.zero_key, lows[i + 1]
         rises = lows[i] < low
         for R in range(top, -1, -1) if i < ny else range(top + 1):
@@ -143,18 +145,12 @@ def graded_homs(X: Alphabet, Y: Alphabet, k: int, floor: int,
                     continue
                 dst = out.get(g)
                 if dst is None:
-                    out[g] = {key + shift: c * b for key, b in src.items()}
+                    out[g] = {key + shift: b for key, b in src.items()}
                     continue
                 get = dst.get
                 for key, b in src.items():
                     key += shift
-                    b = get(key, 0) + c * b
-                    if b:
-                        dst[key] = b
-                    else:
-                        del dst[key]
-                if not dst:
-                    del out[g]
+                    dst[key] = get(key, 0) + b
     wrap, hs = LaurentPoly._from_packed, []
     for hr, r in zip(h, reach):
         hd = {}
@@ -265,19 +261,18 @@ def hook_schur_def(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
     grid = [[0] * p for p in lam]
     terms: dict[tuple, int] = {}
 
-    def fill(c: int, sign: int, exps: tuple):
+    def fill(c: int, exps: tuple):
         if c == len(cells):
-            terms[exps] = terms.get(exps, 0) + sign
+            terms[exps] = terms.get(exps, 0) + 1
             return
         i, j = cells[c]
         left = grid[i][j - 1] if j else 0
         above = grid[i - 1][j] if i else 0
         for v in range(max(left + (left > k), above + (above <= k)), n + 1):
             grid[i][j] = v
-            s, e = letters[v - 1]
-            fill(c + 1, sign * s, tuple(map(add, exps, e)))
+            fill(c + 1, tuple(map(add, exps, letters[v - 1])))
 
-    fill(0, 1, (0,) * len(X.table))
+    fill(0, (0,) * len(X.table))
     return LaurentPoly(X.table, terms)
 
 
@@ -303,8 +298,8 @@ def _f_lambda(lam: Partition, X: Alphabet, Y: Alphabet) -> LaurentPoly:
 
 def _plain_names(A: Alphabet) -> list[str]:
     names = []
-    for c, e in A.monos:
-        if c != 1 or sum(abs(a) for a in e) != 1 or sum(e) != 1:
+    for e in A.monos:
+        if sum(map(abs, e)) != 1 or sum(e) != 1:
             raise ValueError("alphabet entry is not a plain variable")
         names.append(A.table.names[e.index(1)])
     if len(set(names)) != len(names):

@@ -81,7 +81,9 @@ class VarTable:
         """The packed key of an exponent vector; ValueError for a
         non-integer exponent or one past LIMIT."""
         if len(exps) != len(self.names):
-            raise ValueError("exponent vector length does not match table")
+            raise ValueError(f"exponent vector length does not match table: "
+                             f"{exps} has {len(exps)} entries, the table "
+                             f"{len(self.names)} variables")
         key = self.zero_key
         for i, a in enumerate(exps):
             if not isinstance(a, int):
@@ -203,9 +205,9 @@ class LaurentPoly:
     def _add_monomial_times(self, mono: "LaurentPoly", other: "LaurentPoly") -> "LaurentPoly":
         """self + mono * other for a one-term `mono`, in one pass: each term
         of `other` is shifted by mono's key and added into a copy of self,
-        so the product is never formed on its own.  The one loop that adds
-        a polynomial into another: `+` and `-` pass mono = 1 and -1.  An
-        empty `other` adds nothing and returns self, bound and all."""
+        so the product is never formed on its own.  `+` and `-` pass
+        mono = 1 and -1, and exact division passes each quotient term.
+        An empty `other` adds nothing and returns self, bound and all."""
         self._check(mono)
         self._check(other)
         if not other._packed:

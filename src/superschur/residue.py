@@ -198,7 +198,7 @@ def _kernel(h: Hook, top: int, bar: bool = False) -> dict:
     if bar:
         z0, z1 = z_alphabets(h)
         num = num * Alphabet(table, [z for z in z0.monos + z1.monos
-                                     if sum(z[1][:h.k]) >= kl - top]).sum_poly()
+                                     if sum(z[:h.k]) >= kl - top]).sum_poly()
     terms = _absorb(num._packed, table, h.k, h.l, top)
     twice_zero = 2 * table.zero_key
     kern = {twice_zero - key: c for key, c in terms.items()}
@@ -247,13 +247,13 @@ def _z_alphabets(h: Hook) -> tuple[Alphabet, Alphabet]:
     table = residue_table(h)
     n = len(table)
 
-    def mono(up: int = None, down: int = None) -> tuple[int, tuple]:
+    def mono(up: int = None, down: int = None) -> tuple:
         e = [0] * n
         if up is not None:
             e[up] += 1
         if down is not None:
             e[down] -= 1
-        return (1, tuple(e))
+        return tuple(e)
 
     z0 = [mono(i, j) for i in range(k) for j in range(k)]
     z0 += [mono(k + i, k + j) for i in range(ell) for j in range(ell)]

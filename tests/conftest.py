@@ -36,7 +36,7 @@ def hom_sequence_x_then_y(X, Y, upto):
     Y's, with no memo and no grading (oracle for the letter order and the
     x-degree cut of hookschur.graded_homs)."""
     table = X.table
-    letters = [LaurentPoly.monomial(table, c, e) for c, e in X.monos + Y.monos]
+    letters = [LaurentPoly.monomial(table, 1, e) for e in X.monos + Y.monos]
     col = [LaurentPoly.const(table, 1)] * (len(letters) + 1)
     hs = [col[-1]]
     for _ in range(upto):

@@ -162,8 +162,8 @@ def test_08_product_alphabet_expansions():
     # substitution rule at products of singletons: coefficients are the
     # symmetric-group tensor multiplicities
     t4 = VarTable(["x", "y", "t", "u"])
-    XT = Alphabet(t4, [(1, (1, 0, 1, 0)), (1, (0, 1, 0, 1))])  # xt, yu
-    XU = Alphabet(t4, [(1, (1, 0, 0, 1)), (1, (0, 1, 1, 0))])  # xu, yt
+    XT = Alphabet(t4, [(1, 0, 1, 0), (0, 1, 0, 1)])  # xt, yu
+    XU = Alphabet(t4, [(1, 0, 0, 1), (0, 1, 1, 0)])  # xu, yt
     Ax = Alphabet.symbols(t4, ["x"])
     Ay = Alphabet.symbols(t4, ["y"])
     At = Alphabet.symbols(t4, ["t"])

@@ -245,6 +245,16 @@ def test_partition_past_the_limit_exits_2_without_traceback(capsys):
     assert fresh.stderr.startswith(b"error: ") and b"Traceback" not in fresh.stderr
 
 
+def test_key_error_is_a_bug_not_bad_input(monkeypatch):
+    # only ValueError is bad input: no input path raises KeyError, so one
+    # comes from a bug and escapes with its traceback instead of exiting 2
+    def broken(*args, **kwargs):
+        raise KeyError("missing")
+    monkeypatch.setattr(cli, "p_series", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["series", "--mode", "prime", "--hook", "1,1"], out=io.StringIO())
+
+
 def test_parser_builds():
     parser = build_parser()
     args = parser.parse_args(["mlambda", "--lambda", "3,1", "--hook", "2,1"])

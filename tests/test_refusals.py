@@ -13,7 +13,7 @@ T1 = VarTable(["x1", "y1"])
 T2 = VarTable(["a", "b"])
 X1, Y1 = Alphabet.symbols(T1, ["x1"]), Alphabet.symbols(T1, ["y1"])
 Y2 = Alphabet.symbols(T2, ["b"])
-A_SQUARED = Alphabet(T2, [(1, (2, 0))])
+A_SQUARED = Alphabet(T2, [(2, 0)])
 P1 = LaurentPoly.variable(T1, "x1")
 
 
@@ -32,9 +32,14 @@ P1 = LaurentPoly.variable(T1, "x1")
      "division by zero polynomial"),
     (lambda: graded_homs(A_SQUARED, Alphabet(T2, ()), 0, 0, VarTable.LIMIT // 2 + 1),
      ValueError, f"reach exponent {VarTable.LIMIT + 1}, past the packing limit"),
+    # an entry in the old (coefficient, exponents) form on three variables
+    (lambda: Alphabet(VarTable(["a", "b", "c"]), [(1, (1, 0, 0))]), ValueError,
+     "exponent vector length does not match table: (1, (1, 0, 0)) has 2 "
+     "entries, the table 3 variables"),
 ], ids=["eval-tables", "tableaux-tables", "jp-tables", "kronecker-sizes",
         "negative-size", "derivative-degree-0", "duplicate-names",
-        "negative-power", "divide-by-zero", "homs-past-limit"])
+        "negative-power", "divide-by-zero", "homs-past-limit",
+        "alphabet-entry-length"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()

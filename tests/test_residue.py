@@ -56,10 +56,10 @@ def test_z_alphabet_shapes():
         assert len(z1) == 2 * k * l
         # Z0 contains exactly k + l unit monomials
         zero = (0,) * (k + l)
-        assert sum(1 for _, e in z0.monos if e == zero) == k + l
+        assert sum(1 for e in z0.monos if e == zero) == k + l
         # every member is inverted by the exponent flip (closed under bar)
-        bag = sorted(e for _, e in z0.monos)
-        assert bag == sorted(tuple(-a for a in e) for _, e in z0.monos)
+        bag = sorted(z0.monos)
+        assert bag == sorted(tuple(-a for a in e) for e in z0.monos)
 
 
 def test_z_alphabets_built_once_per_hook():
@@ -625,3 +625,16 @@ def test_graded_homs_equal_complete_functions_cut_at_floor(h, odd):
         graded = graded_homs(X, Y, h.k, floor, D)
         assert len(graded) == D + 1
         assert graded == graded_hom_sequence(X, Y, h.k, floor, D), floor
+
+
+@pytest.mark.parametrize("h", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)])
+def test_complete_functions_on_z_have_positive_coefficients(h):
+    # every letter of Z0 and Z1 has coefficient 1, so no term of a
+    # complete function cancels and every bucket kept holds a term
+    h = Hook(*h)
+    z0, z1 = z_alphabets(h)
+    for X, Y in ((z0, z1), (z1, z0)):
+        for hd in graded_homs(X, Y, h.k, -12, 8):
+            for g, bucket in hd.items():
+                assert not bucket.is_zero(), (X is z0, g)
+                assert all(c > 0 for c in bucket.terms.values()), (X is z0, g)
