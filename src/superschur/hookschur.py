@@ -41,11 +41,14 @@ class Alphabet:
     __slots__ = ("table", "monos")
 
     def __init__(self, table: VarTable, monos: Sequence[tuple]):
-        monos = tuple(map(tuple, monos))
+        monos = tuple(monos)
         for exps in monos:
+            if not isinstance(exps, (tuple, list)):
+                raise ValueError(f"alphabet entries must be exponent tuples "
+                                 f"or lists: {exps!r}")
             table.pack(exps)
         self.table = table
-        self.monos = monos
+        self.monos = tuple(map(tuple, monos))
 
     @classmethod
     def symbols(cls, table: VarTable, names: Sequence[str]) -> "Alphabet":

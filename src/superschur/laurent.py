@@ -66,7 +66,12 @@ class VarTable:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        """The position of `name`; ValueError naming it and the table if
+        the table has no such variable."""
+        i = self._index.get(name)
+        if i is None:
+            raise ValueError(f"no variable {name!r} in {self!r}")
+        return i
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VarTable) and self.names == other.names

@@ -6,6 +6,7 @@ tuple is the empty partition.  Out-of-range parts read as 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator
@@ -19,64 +20,32 @@ class HookClass(Enum):
     TYPICAL = "typical"
 
 
-class FrozenRecord:
-    """An immutable value with the fields named in __slots__: equal to a
-    record of the same class with equal fields, hashed and shown by them.
-    A subclass sets its fields once, in __init__, through _set."""
-
-    __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Hook(FrozenRecord):
+class Hook(namedtuple("Hook", "k l")):
     """The (k, l) hook: partitions with at most k parts exceeding l.
 
     (0, 0) is allowed and contains exactly the empty partition, so that
     multiplicity differences against the next-smaller hook stay defined.
+    A named tuple, so Hook(k, l) equals and hashes as (k, l): a memo keyed
+    by either spelling keeps one entry.  Every way to build one checks its
+    entries, `_make` and `_replace` included.
     """
 
-    __slots__ = ("k", "l")
+    __slots__ = ()
 
-    def __init__(self, k: int, l: int):
-        self._set(k=k, l=l)
+    def __new__(cls, k: int, l: int):
+        self = super().__new__(cls, k, l)
         if not (isinstance(k, int) and isinstance(l, int)):
             raise ValueError(f"hook entries must be integers: {self}")
         if k < 0 or l < 0:
             raise ValueError(f"hook entries must be nonnegative: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Hook":
+        return cls(*iterable)
 
     def shrink(self) -> "Hook":
         return Hook(self.k - 1, self.l - 1)
-
-    def __iter__(self):
-        return iter((self.k, self.l))
 
 
 def as_hook(h) -> Hook:

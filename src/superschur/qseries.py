@@ -5,21 +5,20 @@ Poincare series, plus the two partition limit identities.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Optional, Sequence
 
-from .partitions import FrozenRecord, as_hook, enumerate_partitions
+from .partitions import as_hook, enumerate_partitions
 
 Factor = tuple  # (sign: +-1, exponent_a: int, power: +-1) meaning (1 + sign*u^a)^power
 
 
-class TruncatedSeries(FrozenRecord):
+class TruncatedSeries(namedtuple("TruncatedSeries", "coeffs")):
     """Integer power series through degree len(coeffs) - 1, held as its
-    exact coefficients; adds, subtracts and indexes them."""
+    exact coefficients in a one-field named tuple; adds, subtracts and
+    indexes them."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        self._set(coeffs=coeffs)
+    __slots__ = ()
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":

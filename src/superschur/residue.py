@@ -55,16 +55,14 @@ def residue_table(h) -> VarTable:
                     + [f"y{j}" for j in range(1, h.l + 1)])
 
 
+@lru_cache(maxsize=None)
 def delta_numerator(h) -> LaurentPoly:
     """Finite part of Delta after the geometric rewrite: the difference
     products times the monomial prefactor prod x_i^-l prod y_j^k.
     Memoised once per hook, as `z_alphabets` is: every kernel rebuilt for
-    a larger top starts from it."""
-    return _delta_numerator(as_hook(h))
-
-
-@lru_cache(maxsize=None)
-def _delta_numerator(h: Hook) -> LaurentPoly:
+    a larger top starts from it, and (k, l) and Hook(k, l) share one
+    entry, since a Hook equals and hashes as its tuple."""
+    h = as_hook(h)
     k, ell = h.k, h.l
     table = residue_table(h)
     result = LaurentPoly.const(table, 1)
@@ -234,15 +232,13 @@ def inner_product(f: LaurentPoly, g: LaurentPoly, h) -> int:
     return _over_k_l(constant_term_by_kernel(f * g.invert_variables(), h), h)
 
 
+@lru_cache(maxsize=None)
 def z_alphabets(h) -> tuple[Alphabet, Alphabet]:
     """The monomial multisets Z0 = X X^-1 u Y Y^-1 (size k^2 + l^2,
     including k + l unit monomials) and Z1 = X Y^-1 u X^-1 Y (size 2kl).
-    Built once per hook: (k, l) and Hook(k, l) share one entry."""
-    return _z_alphabets(as_hook(h))
-
-
-@lru_cache(maxsize=None)
-def _z_alphabets(h: Hook) -> tuple[Alphabet, Alphabet]:
+    Built once per hook: (k, l) and Hook(k, l) share one entry, since a
+    Hook equals and hashes as its tuple."""
+    h = as_hook(h)
     k, ell = h.k, h.l
     table = residue_table(h)
     n = len(table)
@@ -358,13 +354,15 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
         return total
 
     def times(F: dict, G: dict, low: int) -> dict:
+        # every bucket has only positive coefficients, so no sum or
+        # product of them is empty
         out: dict = {}
         for ga, f in F.items():
             for gb, g in G.items():
                 grade = ga + gb
                 if grade >= low:
                     out[grade] = out[grade] + f * g if grade in out else f * g
-        return {g: p for g, p in out.items() if p._packed}
+        return out
 
     def walk(p: int, exps: tuple, left: int, prefix: dict):
         top = left if p in (0, n) else min(left, exps[-1])

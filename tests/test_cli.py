@@ -269,11 +269,13 @@ def _package_env():
 
 
 def test_import_loads_no_dataclass_machinery():
-    # every command starts a fresh interpreter: importing the package must
-    # not pull in dataclasses and inspect (and the ast, dis and tokenize
-    # modules inspect loads)
-    code = ("import sys, superschur; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    # every command starts a fresh interpreter: importing the package and
+    # its command line must not pull in dataclasses and inspect (and the
+    # ast, dis and tokenize modules inspect loads), nor the process pool,
+    # which `verify budzik` imports only when it pools
+    code = ("import sys, superschur, superschur.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'multiprocessing', "
+            "'concurrent.futures'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=_package_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")

@@ -35,13 +35,18 @@ def test_classify_hook():
 def test_hook_rejects_negative():
     with pytest.raises(ValueError, match=r"nonnegative: Hook\(k=-1, l=2\)"):
         Hook(-1, 2)
+    # the named tuple's own builders go through the same checks
+    with pytest.raises(ValueError, match=r"nonnegative: Hook\(k=-1, l=1\)"):
+        Hook(2, 1)._replace(k=-1)
+    with pytest.raises(ValueError, match=r"nonnegative: Hook\(k=1, l=-1\)"):
+        Hook._make((1, -1))
 
 
 def test_hook_is_an_immutable_value():
     h = Hook(2, 1)
-    assert h == Hook(2, 1) and h != Hook(1, 2) and h != (2, 1)
+    assert h == Hook(2, 1) and h != Hook(1, 2) and h == (2, 1)
     assert hash(h) == hash(Hook(2, 1))
-    assert {h: 1}[Hook(2, 1)] == 1
+    assert {h: 1}[Hook(2, 1)] == 1 and {(2, 1): 1}[h] == 1
     assert repr(h) == "Hook(k=2, l=1)"
     assert tuple(h) == (2, 1) and h.shrink() == Hook(1, 0)
     assert pickle.loads(pickle.dumps(h)) == h

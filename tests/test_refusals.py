@@ -36,10 +36,19 @@ P1 = LaurentPoly.variable(T1, "x1")
     (lambda: Alphabet(VarTable(["a", "b", "c"]), [(1, (1, 0, 0))]), ValueError,
      "exponent vector length does not match table: (1, (1, 0, 0)) has 2 "
      "entries, the table 3 variables"),
+    (lambda: Alphabet.symbols(T2, ["z"]), ValueError,
+     "no variable 'z' in VarTable(a, b)"),
+    (lambda: Alphabet(T2, [5]), ValueError,
+     "alphabet entries must be exponent tuples or lists: 5"),
+    (lambda: Alphabet(T2, [None]), ValueError,
+     "alphabet entries must be exponent tuples or lists: None"),
+    (lambda: Alphabet(T2, ["ab"]), ValueError,
+     "alphabet entries must be exponent tuples or lists: 'ab'"),
 ], ids=["eval-tables", "tableaux-tables", "jp-tables", "kronecker-sizes",
         "negative-size", "derivative-degree-0", "duplicate-names",
         "negative-power", "divide-by-zero", "homs-past-limit",
-        "alphabet-entry-length"])
+        "alphabet-entry-length", "unknown-variable", "alphabet-entry-int",
+        "alphabet-entry-none", "alphabet-entry-str"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
