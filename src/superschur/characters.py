@@ -25,7 +25,8 @@ conjugate shape, a pair {mu, mu'} of that set is read once and counted
 twice; conjugation maps H(k, l) onto H(l, k), so w_(k,l) = w_(l,k) and
 one memo entry serves both orders of a hook.  So a series through
 degree n needs only the columns of the classes rho[1:], the sigma with
-|sigma| + sigma_1 <= n.
+|sigma| + sigma_1 <= n.  The bar modes, and a series slice linear in one
+variable, read only the classes with a part 1, and weigh only those.
 A multiplicity is one inner product, (1/(N + b)!) sum_rho chi^lam(rho)
 V(rho) with b = 1 for the bar modes, and the Poincare series reads the
 same V against power sums.
@@ -201,9 +202,17 @@ def _pull_row(mask: int, r: int) -> tuple:
     return tuple(plus), tuple(minus)
 
 
-def _hook_weights(n: int, h: Hook) -> dict:
+class _PartOneWeights(dict):
+    """A hook weight table over the classes with a part 1 alone."""
+
+    __slots__ = ()
+
+
+def _hook_weights(n: int, h: Hook, part_one: bool = False) -> dict:
     """{rho: w_h(rho)} over the classes of S_n with a nonzero weight
-    w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2.
+    w_h(rho) = |C_rho| sum_{mu in h, |mu| = n} chi^mu(rho)^2; with
+    `part_one`, over at least the classes with a part 1, those that a bar
+    mode or a slice linear in one variable reads.
 
     The sum runs over the smaller of h and its complement: by column
     orthogonality sum_{all mu} chi^mu(rho)^2 = n!/|C_rho|, so w_h(rho) =
@@ -213,16 +222,18 @@ def _hook_weights(n: int, h: Hook) -> dict:
     so the column of rho is never built, and that of rho[1:] is read only
     when some shape of the set has a rho_1-strip to lose: never when the
     set is empty.  Conjugation maps H(k, l) onto H(l, k), so w_(k,l) =
-    w_(l,k): the memo holds one entry per unordered hook."""
+    w_(l,k): the memo holds one table per (n, unordered hook).  A part-1
+    request is served by whichever table it holds; a full request only
+    by a full table, and the full table it builds takes the entry."""
     key = (n, h) if h.k >= h.l else (n, Hook(h.l, h.k))
     hit = _MEMO.weights.get(key)
-    if hit is not None:
+    if hit is not None and (part_one or not isinstance(hit, _PartOneWeights)):
         return hit
-    classes = partitions_of(n)
-    inside = [len(mu) <= h.k or mu[h.k] <= h.l for mu in classes]
-    complement = 2 * sum(inside) > len(classes)
+    shapes = partitions_of(n)
+    inside = [len(mu) <= h.k or mu[h.k] <= h.l for mu in shapes]
+    complement = 2 * sum(inside) > len(shapes)
     count = {}  # {mu: 2 where mu' != mu is also summed, 1 otherwise}
-    for mu, flag in zip(classes, inside):
+    for mu, flag in zip(shapes, inside):
         if flag != complement:
             nu = conjugate(mu)
             if nu in count:
@@ -232,9 +243,11 @@ def _hook_weights(n: int, h: Hook) -> dict:
     masks = list(map(_mask, count))
     full = factorial(n)
     sizes = _MEMO.sizes
-    weights = {}
+    weights = _PartOneWeights() if part_one else {}
     rows_of = {}
-    for rho in classes:
+    for rho in shapes:
+        if part_one and rho[-1:] != (1,):
+            continue
         r = rho[0] if rho else 0  # S_0 sums over its empty complement: no rows
         rows = rows_of.get(r)
         if rows is None:
@@ -259,29 +272,37 @@ def _hook_weights(n: int, h: Hook) -> dict:
     return weights
 
 
-def class_weights(mode: str, h: Hook, N: int) -> dict:
+def class_weights(mode: str, h: Hook, N: int, part_one: bool = False) -> dict:
     """The class function of a multiplicity mode: {rho |- N: V(rho)} over
     the nonzero values, read-only, such that sum_{lam |- N} mult(lam) s_lam
     = (1/(N + b)!) sum_rho V(rho) p_rho, with b = 1 for the bar modes.
+    With `part_one` the table holds at least the classes with a part 1,
+    which are all that the T exponents 1 of sum_rho V(rho) p_rho(T;U) read.
 
     V is w_h, less w_{h.shrink()} for a jump when min(k, l) > 0.  The bar
     modes restrict one S_n level down, s_1^perp = d/dp_1 (the branching
     rule), so V(rho) = m_1(rho + 1) W(rho + 1), where rho + 1 is rho with
-    one more part 1 and W is the weight of the mode without its bar.
+    one more part 1 and W is the weight of the mode without its bar: they
+    always ask for the weights of the classes with a part 1 alone.
     Where V is w_h itself it is the memoised table of `_hook_weights`,
     not a copy.
     The weights read the columns of the classes rho[1:] of S_{N+b}, never
     the column of a class of S_{N+b} itself (`_hook_weights`)."""
     bar = mode.startswith("bar")
-    weights = _hook_weights(N + bar, h)
+    part_one = part_one or bar
+    weights = _hook_weights(N + bar, h, part_one)
     if mode.endswith("prime") and min(h.k, h.l) > 0:
         # both weights are sums of squares and H(k-1, l-1) lies in H(k, l),
-        # so the smaller hook's weight vanishes wherever w_h does
-        small = _hook_weights(N + bar, h.shrink())
+        # so the smaller hook's weight vanishes wherever w_h does; either
+        # table may be the full one when part_one is asked for, so only
+        # the classes with a part 1 are kept then
+        small = _hook_weights(N + bar, h.shrink(), part_one)
         weights = {rho: v for rho, w in weights.items()
-                   if (v := w - small.get(rho, 0))}
+                   if (v := w - small.get(rho, 0))
+                   and (not part_one or rho[-1:] == (1,))}
     if bar:
-        # m_1(rho + 1) >= 1, so no value of W vanishes here
+        # m_1(rho + 1) >= 1, so no value of W vanishes here; a part-1
+        # request may be served by a full table, whose other classes go
         weights = {rho[:-1]: rho.count(1) * w for rho, w in weights.items()
                    if rho[-1] == 1}
     return weights

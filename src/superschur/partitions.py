@@ -136,7 +136,16 @@ def enumerate_partitions(n: int,
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple:
-    return tuple(_gen(n, n, n, 0))
+    """Every partition of n in the canonical order of
+    `enumerate_partitions`, lexicographic descending; none for n < 0.
+    Built from the memoised partitions of n - r, each put after its first
+    part r in turn, r = n..1: those with a largest part <= r are a suffix
+    of their lexicographic order, and each rest is asked for after every
+    smaller one, so the memo is filled bottom-up with no deep recursion."""
+    if n == 0:
+        return ((),)
+    return tuple((r,) + rest for r in range(n, 0, -1)
+                 for rest in partitions_of(n - r) if not rest or rest[0] <= r)
 
 
 def typical_split(lam: Partition, h) -> tuple[Partition, Partition]:

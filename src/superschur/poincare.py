@@ -18,7 +18,8 @@ functions (`residue.cauchy_pairing`), taken for the alpha and beta sorted
 within their blocks.  Either route gives one stream of values at the
 exponents sorted within each block (`_sorted_series`): `p_series`
 spreads it over the orderings of both blocks, and the derivative check
-takes its slice from the stream before anything is spread.  What does
+takes its slice from the stream before anything is spread, asking only
+for the exponents whose T block has a part 1.  What does
 not depend on V is built once per process: the walk's monomial
 numbering and move rows once per variable split (`_WALKS`), the packed
 orderings of a sorted block once per block.
@@ -86,15 +87,22 @@ def p_series(mode: str, h, n: int, m: int, D: int,
     return _spread(series_table(n, m), n, D, values)
 
 
-def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str):
+def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str,
+                   part_one: bool = False):
     """The coefficients of `p_series` at the exponent vectors sorted
     descending within the T block (the first n) and the U block, as
-    (exponents, value) over the nonzero values.
+    (exponents, value) over the nonzero values; with `part_one`, only
+    those whose T block has a part 1, all that a slice linear in one T
+    variable reads.
 
     The character sums (`_is_char_sum`) are assembled by power sums from
     the mode's one class function (`_frobenius_series`).  The residue
     jumps take one integral per sorted monomial of T and of U by the
     Cauchy pairing (`residue.cauchy_pairing`), with no term per lam.
+    A monomial of p_rho(T;U) = prod_i p_rho_i(T;U) puts each part of rho
+    on one variable, so it has a T exponent 1 only if rho has a part 1:
+    with `part_one` the class sums read only those classes, and the
+    pairing skips every other alpha.
     The arguments are checked before anything is built.
     """
     h = as_hook(h)
@@ -110,18 +118,21 @@ def _sorted_series(mode: str, h, n: int, m: int, D: int, route: str):
         raise ValueError(f"truncation degree {D} is past the packing limit "
                          f"{VarTable.LIMIT}")
     if char:
-        return _frobenius_series(mode, h, n, n + m, D)
-    return cauchy_pairing(h, n, m, D, mode == "bar_prime")
+        return _frobenius_series(mode, h, n, n + m, D, part_one)
+    return cauchy_pairing(h, n, m, D, mode == "bar_prime", part_one)
 
 
-def _frobenius_series(mode: str, h: Hook, n: int, width: int, D: int):
+def _frobenius_series(mode: str, h: Hook, n: int, width: int, D: int,
+                      part_one: bool = False):
     """The sorted values of a character-sum mode through degree D by power
     sums: (1/(N+b)!) sum_{rho |- N} V(rho) p_rho(T;U) in each degree N,
     with V from `class_weights` and the first n of `width` variables as T
-    and the rest as U.  The class sums come from `_class_sums` on sorted
-    monomials; each is divided by (N+b)! exactly as it is drawn."""
-    weights = [class_weights(mode, h, N) for N in range(D + 1)]
-    monos, sums = _class_sums(weights, n, width)
+    and the rest as U; with `part_one`, only at the monomials with a T
+    exponent 1, summed over the classes with a part 1 alone.  The class
+    sums come from `_class_sums` on sorted monomials; each is divided by
+    (N+b)! exactly as it is drawn."""
+    weights = [class_weights(mode, h, N, part_one) for N in range(D + 1)]
+    monos, sums = _class_sums(weights, n, width, part_one)
     b = mode.startswith("bar")
     return ((monos[k], exact_quotient(c, factorial(N + b),
                                       "class sum for a Poincare coefficient"))
@@ -144,22 +155,30 @@ def _spread(table: VarTable, n: int, D: int, values) -> LaurentPoly:
     return LaurentPoly._from_packed(table, terms, D)
 
 
-def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
+def _class_sums(weights: list, n: int, width: int,
+                part_one: bool = False) -> tuple[list, list]:
     """(monos, sums): sums[N] = {id: sum_{rho |- N} weights[N][rho] times
     the coefficient of monos[id] in p_rho(T;U)}, through the last N with a
-    nonzero weight, with T the first n of `width` variables.
+    nonzero weight, with T the first n of `width` variables; with
+    `part_one`, only at the monomials with a T exponent 1, and only the
+    classes with a part 1 are read.
 
     The walk visits the classes post-order on its own stack and sums in
     Horner form, A(sigma) = V(sigma) + sum_{r >= sigma_1} p_r A((r,) +
     sigma), which is V(rho) p_rho / p_sigma summed over the classes rho
     that end in sigma: one product per class, and A(()) split by degree at
-    the end.  Each A is symmetric in T and in U, so it is held by its
-    monomials sorted descending within each block, numbered in the order
-    they are met.  Multiplying by p_r moves one distinct value v of a
-    block to v + r (`_move_row`).  The numbering and the move rows depend
-    on the split (n, width) alone, not on the weights, so they are kept
-    in `_WALKS`, one entry per split, shared by every series on it and
-    extended to a larger degree on demand."""
+    the end.  A class (r,) + sigma with |sigma| + 2r past the top has no
+    part to put in front: its A is V at the zero monomial, added times p_r
+    into the sum of sigma with no frame of its own.  With `part_one` the walk stays
+    under the class (1,), whose subtree holds the classes with a part 1;
+    A(()) then also has partial sums at monomials with no T exponent 1,
+    which are dropped, never divided.  Each A is symmetric in T and in U,
+    so it is held by its monomials sorted descending within each block,
+    numbered in the order they are met.  Multiplying by p_r moves one
+    distinct value v of a block to v + r (`_move_row`).  The numbering and
+    the move rows depend on the split (n, width) alone, not on the
+    weights, so they are kept in `_WALKS`, one entry per split, shared by
+    every series on it and extended to a larger degree on demand."""
     top = max((N for N, v in enumerate(weights) if v), default=0)
     walk = _WALKS.get((n, width))
     if walk is None:
@@ -171,15 +190,28 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
     # [sigma, |sigma|, A(sigma) so far, next part r to put in front]
     w = weights[0].get(())
     stack = [[(), 0, {0: w} if w else {}, 1]]
+    if part_one and top:
+        stack[0][3] = top + 1  # the root puts no part in front but the 1
+        w = weights[1].get((1,))
+        stack.append([(1,), 1, {0: w} if w else {}, 1])
     while True:
         frame = stack[-1]
         sigma, size, acc, r = frame
-        if size + r <= top:
+        if size + 2 * r <= top:
             frame[3] = r + 1
             rho = (r,) + sigma
             w = weights[size + r].get(rho)
             stack.append([rho, size + r, {0: w} if w else {}, r])
             continue
+        get = acc.get
+        for r in range(r, top - size + 1):  # the leaves (r,) + sigma
+            w = weights[size + r].get((r,) + sigma)
+            if w:
+                row_of = moves[r]
+                pairs = iter(row_of.get(0) or
+                             row_of.setdefault(0, _move_row(monos, ids, n, 0, r)))
+                for t, f in zip(pairs, pairs):
+                    acc[t] = get(t, 0) + f * w
         stack.pop()
         if not stack:
             break
@@ -193,7 +225,8 @@ def _class_sums(weights: list, n: int, width: int) -> tuple[list, list]:
                 parent[t] = get(t, 0) + f * c
     sums = [{} for _ in range(top + 1)]
     for k, c in acc.items():
-        sums[sum(monos[k])][k] = c
+        if not part_one or 1 in monos[k][:n]:
+            sums[sum(monos[k])][k] = c
     return monos, sums
 
 
@@ -315,19 +348,20 @@ def check_derivative_relation(h, n: int, D: int, primed: bool,
     The (n+1)-variable series is never spread: the orderings of a sorted
     alpha that put a 1 last are exactly the orderings of alpha less one of
     its parts 1, so the slice is the spread over n variables of the sorted
-    values (`_sorted_series`) whose alpha has a part 1, with one such 1
-    dropped; what is left is still sorted."""
+    values whose alpha has a part 1, with one such 1 dropped; what is left
+    is still sorted.  Only those values are computed (`_sorted_series`
+    with `part_one`): the character route weighs and walks the classes
+    with a part 1 alone, and the residue route pairs no other alpha."""
     h = as_hook(h)
     if n < 1:
         raise ValueError(f"derivative check needs n >= 1 variables, got n={n}")
     if D < 1:
         raise ValueError(f"derivative check needs degree >= 1, got {D}")
     values = _sorted_series("prime" if primed else "plain", h, n + 1, 0, D,
-                            route)
+                            route, part_one=True)
     # the parts 1 of a sorted alpha are adjacent: any one may be dropped
     lin = _spread(series_table(n, 0), n, D - 1, (
-        (a[:i] + a[i + 1:], c) for a, c in values if 1 in a
-        for i in (a.index(1),)))
+        (a[:i] + a[i + 1:], c) for a, c in values for i in (a.index(1),)))
     bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
     ok = lin == bar
     return ok, {"hook": [h.k, h.l], "n": n, "degree": D, "primed": primed,

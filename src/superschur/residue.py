@@ -259,8 +259,9 @@ def z_alphabets(h) -> tuple[Alphabet, Alphabet]:
 
 
 def hs_on_z(lam: Partition, h) -> LaurentPoly:
-    """HS_lam(Z0;Z1) as a Laurent polynomial in the hook's variables."""
-    return hook_schur_eval(lam, *z_alphabets(h))
+    """HS_lam(Z0;Z1) as a Laurent polynomial in the hook's variables; h is
+    a Hook or any (k, l) pair."""
+    return hook_schur_eval(lam, *z_alphabets(as_hook(h)))
 
 
 def _hs_top(lam: Partition, h: Hook) -> int:
@@ -299,11 +300,13 @@ def m_bar_prime_residue(lam: Partition, h) -> int:
     return _jump(lam, h, True)
 
 
-def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
+def cauchy_pairing(h, n: int, m: int, D: int, bar: bool,
+                   part_one: bool = False):
     """Yield (alpha + beta, <prod_i h_alpha_i(Z0;Z1) prod_j h_beta_j(Z1;Z0),
     1>) for the nonzero values, with the bar factor HS_(1)(Z0;Z1) inside
     the integral when `bar`, over the alpha of n and beta of m parts,
-    each sorted descending, with |alpha| + |beta| <= D.
+    each sorted descending, with |alpha| + |beta| <= D; with `part_one`,
+    over the alpha with a part 1 alone.
 
     By the super Cauchy identity (Berele-Regev; Macdonald I.4), sum_lam
     HS_lam(Z0;Z1) HS_lam(T;U) = prod_t sum_d h_d(Z0;Z1) t^d prod_u sum_d
@@ -320,13 +323,16 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
     D with one.  The kernel, with the bar factor in its numerator when
     `bar`, is fetched first and once, at that top, which bounds its box
     too.  Below need it is empty, and the walk ends before any Z alphabet
-    or complete function is built."""
+    or complete function is built.  A part 1 of a sorted alpha is its last
+    nonzero part, so with `part_one` the walk leaves every alpha whose T
+    block closes, or can no longer close, without a 1, before its product
+    or pairing is formed."""
     h = as_hook(h)
     kl = h.k * h.l
     need = kl - bar
     top = D if m else min(D, kl * n)
     kern = _kernel(h, top, bar)
-    if not kern:
+    if not kern or part_one and not n:
         return
     width = n + m
     # floors: need less kl per other T factor, less D with another U factor
@@ -375,6 +381,12 @@ def cauchy_pairing(h, n: int, m: int, D: int, bar: bool):
             # after it, each a factor h_0 = 1, so it nests one frame per
             # nonzero exponent, not one per variable
             q = p + 1 if e else (n if p < n else width)
+            # with part_one, leave a T block that closes after no 1, or
+            # that can no longer hold one after e > 1
+            if part_one and p < n and (
+                    (p == 0 or exps[-1] != 1) if e == 0
+                    else e > 1 and (q == n or e == left)):
+                continue
             exps_e = exps + (e,) + (0,) * (q - p - 1)
             if q == width:
                 value = pair(prefix, col[e])

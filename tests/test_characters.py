@@ -10,7 +10,7 @@ from superschur.characters import (_column, _hook_weights, _mask, _pull_row,
                                    default_cache, kronecker, m_bar_lambda,
                                    m_lambda, mn_character)
 from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
-                                   enumerate_partitions)
+                                   enumerate_partitions, partitions_of)
 from superschur.laurent import VarTable
 from superschur.residue import m_prime_residue
 
@@ -265,6 +265,48 @@ def test_conjugate_hook_weights_served_from_one_entry(monkeypatch):
             patch.setattr(characters, "_pull_row", refuse)
             assert _hook_weights(n, Hook(1, 2)) is first
     assert len(default_cache().weights) == 11
+
+
+@pytest.mark.parametrize("full_first", [False, True])
+def test_part_one_and_full_weights_in_either_order(full_first):
+    # one memo entry per (n, unordered hook) serves both requests: a
+    # part-1 request is served by a full table, a full one never by a
+    # part-1 table, so either order gives the cold full table and the
+    # cold bar class weights
+    bars = ("bar", "bar_prime")
+    for h in WEIGHT_HOOKS:
+        for n in range(1, 11):
+            _clear_default_cache()
+            full = dict(_hook_weights(n, h))
+            _clear_default_cache()
+            cold = [dict(class_weights(mode, h, n - 1)) for mode in bars]
+            _clear_default_cache()
+            if full_first:
+                got_full = _hook_weights(n, h)
+                assert _hook_weights(n, h, part_one=True) is got_full
+            else:
+                part = _hook_weights(n, h, part_one=True)
+                assert all(rho[-1] == 1 for rho in part), (h, n)
+            got = [class_weights(mode, h, n - 1) for mode in bars]
+            if not full_first:
+                got_full = _hook_weights(n, h)
+                assert got_full is not part
+                assert _hook_weights(n, h, part_one=True) is got_full
+            assert got_full == full, (h, n)
+            assert got == cold, (h, n)
+
+
+def test_full_weights_after_part_one_hold_every_class():
+    # with k >= 1 the one-row shape lies in the hook and chi^(n) = 1, so
+    # every class of S_n has a weight; the part-1 table holds those with
+    # a part 1 alone, the full table built after it every class
+    for h in (Hook(1, 0), Hook(1, 1), Hook(2, 1), Hook(1, 2), Hook(3, 1)):
+        _clear_default_cache()
+        for n in range(12):
+            classes = set(partitions_of(n))
+            part = _hook_weights(n, h, part_one=True)
+            assert set(part) == {rho for rho in classes if rho[-1:] == (1,)}, (h, n)
+            assert set(_hook_weights(n, h)) == classes, (h, n)
 
 
 def test_class_weights_hold_no_zero():

@@ -5,7 +5,7 @@ from hypothesis import given
 
 from superschur.partitions import (Hook, HookClass, classify_hook, conjugate,
                                    enumerate_partitions, parse_partition,
-                                   typical_split)
+                                   partitions_of, typical_split)
 
 from conftest import add_box_successors, partitions
 
@@ -157,3 +157,12 @@ def test_hook_pruned_enumeration_matches_filter_oracle():
                     if classify_hook(lam, h) is not HookClass.OUTSIDE
                     and classify_hook(lam, other) is HookClass.TYPICAL
                     and lam == conjugate(lam)]
+
+
+def test_partitions_of_in_canonical_order():
+    # built from the memoised partitions of smaller sizes, in the order
+    # enumerate_partitions makes contractual; none of a negative size
+    for n in range(21):
+        assert partitions_of(n) == tuple(enumerate_partitions(n)), n
+    for n in (-1, -3):
+        assert partitions_of(n) == ()

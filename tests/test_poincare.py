@@ -447,6 +447,20 @@ def test_p_series_class_sums_are_checked_exact(monkeypatch):
             p_series(mode, h, 1, 0, 3, route="char")
     with pytest.raises(InexactError, match="hook multiplicity"):
         m_lambda((3,), h)
+    # only the part-1 table of S_3 memoised and patched: the bar series
+    # reads it, while the plain series builds the full table, which then
+    # takes the entry and serves the bar series too
+    _cold()
+    want = p_series("plain", h, 1, 0, 3, route="char")
+    bar = p_series("bar", h, 1, 0, 2, route="char")
+    _cold()
+    part = _hook_weights(3, h, part_one=True)
+    assert set(part) == {(2, 1), (1, 1, 1)}
+    monkeypatch.setitem(part, (2, 1), part[2, 1] + 1)
+    with pytest.raises(InexactError, match="Poincare"):
+        p_series("bar", h, 1, 0, 2, route="char")
+    assert p_series("plain", h, 1, 0, 3, route="char") == want
+    assert p_series("bar", h, 1, 0, 2, route="char") == bar
 
 
 def test_character_series_take_no_per_lambda_path(monkeypatch):
@@ -548,6 +562,54 @@ def _cold():
         memo.clear()
     poincare._WALKS.clear()
     poincare._packed_orderings.cache_clear()
+
+
+SLICE_HOOKS = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2),
+               (3, 2)]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_part_one_stream_is_the_full_stream_filtered(route):
+    # with part_one the character sums read only the classes with a part
+    # 1 and the pairing skips the other alpha, from cold memos, where the
+    # part-1 weight tables come first: the values left are exactly those
+    # of the full stream whose T block has a part 1, in T alone and with
+    # one U variable
+    for h in SLICE_HOOKS:
+        _cold()
+        for n, m, D in ((2, 0, 10), (3, 0, 9), (4, 0, 8), (2, 1, 8), (3, 1, 7),
+                        (4, 1, 6)):
+            for mode in MODES:
+                got = list(poincare._sorted_series(mode, h, n, m, D, route,
+                                                   part_one=True))
+                want = [(e, c) for e, c in poincare._sorted_series(
+                    mode, h, n, m, D, route) if 1 in e[:n]]
+                assert dict(got) == dict(want), (h, n, m, D, mode)
+                assert len(got) == len(want), (h, n, m, D, mode)
+    assert not list(poincare._sorted_series("prime", (2, 1), 0, 2, 6, route,
+                                            part_one=True))
+
+
+def _full_stream_report(h, n, D, primed, route):
+    # the derivative check on the whole (n+1)-variable stream, filtered to
+    # the alpha with a part 1 after every value is computed
+    values = poincare._sorted_series("prime" if primed else "plain", h,
+                                     n + 1, 0, D, route)
+    lin = poincare._spread(series_table(n, 0), n, D - 1, (
+        (a[:i] + a[i + 1:], c) for a, c in values if 1 in a
+        for i in (a.index(1),)))
+    bar = p_series("bar_prime" if primed else "bar", h, n, 0, D - 1, route=route)
+    return lin == bar, str(lin), str(bar)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_derivative_check_equals_the_full_stream_check(route):
+    for h, n, D, primed in product(SLICE_HOOKS, (1, 2, 3), (6, 7, 8, 9),
+                                   (False, True)):
+        ok, report = check_derivative_relation(h, n, D, primed, route=route)
+        assert ok and report["pass"], (h, n, D, primed)
+        assert (ok, report["linear_slice"], report["bar_series"]) == \
+            _full_stream_report(h, n, D, primed, route), (h, n, D, primed)
 
 
 def test_series_independent_of_memo_state():

@@ -62,6 +62,14 @@ def test_z_alphabet_shapes():
         assert bag == sorted(tuple(-a for a in e) for e in z0.monos)
 
 
+def test_hs_on_z_takes_a_hook_as_a_list():
+    # the memoised alphabets are keyed by the hook, so a list is read as
+    # its Hook first, as every other residue entry point does
+    for k, l in [(1, 1), (2, 1), (1, 2)]:
+        for lam in [(1,), (2, 1)]:
+            assert hs_on_z(lam, [k, l]) == hs_on_z(lam, (k, l)), (lam, k, l)
+
+
 def test_z_alphabets_built_once_per_hook():
     # a tuple and a Hook name one memo entry, so hs_on_z hashes the same
     # alphabet objects on every call, and one Delta numerator is built
